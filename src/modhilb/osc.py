@@ -8,6 +8,13 @@ The base cutoff eta is a polynomial smoothstep (default degree 9, C^4):
 eta = 1 on [-1,1], 0 outside [-2,2], monotone on the transition bands.
 Everything else is derived from eta, so smoothness and support constants
 are certified by construction rather than assumed.
+
+Every symbol integral here has the polynomial phase -(X t^d + Y t) and an
+amplitude that is smooth between breakpoints known in advance.  Above
+LEVIN_MIN_CYCLES of phase variation they use adaptive Levin collocation,
+whose cost does not grow with the frequency; below it, the adaptive
+Gauss-Kronrod quadrature of oscillatory_quadrature, which is also the
+reference the Levin path is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -244,13 +252,31 @@ def _adaptive_oscillatory(phase, g, n_out: int, support: tuple[float, float],
 
     lo_e, hi_e = edges[:-1], edges[1:]
     vals, err = _panel_batch(g, n_out, lo_e, hi_e)
-    created = len(lo_e)
 
     if budget_hit:
         raise QuadratureError(
             "initial quarter-period subdivision exceeds the panel budget",
             vals.sum(axis=1))
 
+    def batch(lo, hi):
+        return _panel_batch(g, n_out, lo, hi)
+
+    return _bisect_to_tolerance(batch, lo_e, hi_e, vals, err, tol,
+                                panel_budget)
+
+
+def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
+                         vals: np.ndarray, err: np.ndarray, tol: float,
+                         panel_budget: int) -> np.ndarray:
+    """Bisect failing panels until the summed error estimates meet tol.
+
+    batch(lo, hi) returns the (n_out, panels) integrals and error
+    estimates over [lo_i, hi_i]; vals and err hold them for the panels
+    already laid out, which count against panel_budget.  On exhaustion
+    raises QuadratureError whose estimate is the length-n_out vector
+    achieved so far.
+    """
+    created = len(lo_e)
     while err.sum(axis=1).max() > tol:
         thresh = tol / (2.0 * len(lo_e))
         bad = (err > thresh).any(axis=0)
@@ -262,9 +288,13 @@ def _adaptive_oscillatory(phase, g, n_out: int, support: tuple[float, float],
                 vals.sum(axis=1))
         ba, bb = lo_e[bad], hi_e[bad]
         mid = 0.5 * (ba + bb)
+        if not ((ba < mid) & (mid < bb)).all():
+            raise QuadratureError(
+                "panels bisected to the floating-point resolution before "
+                "reaching tolerance", vals.sum(axis=1))
         new_lo = np.concatenate([ba, mid])
         new_hi = np.concatenate([mid, bb])
-        new_vals, new_err = _panel_batch(g, n_out, new_lo, new_hi)
+        new_vals, new_err = batch(new_lo, new_hi)
         keep = ~bad
         lo_e = np.concatenate([lo_e[keep], new_lo])
         hi_e = np.concatenate([hi_e[keep], new_hi])
@@ -296,6 +326,8 @@ def oscillatory_quadrature(phase: Callable, amplitude: Callable,
 
     Both callables must accept numpy arrays.  Raises QuadratureError,
     carrying the achieved estimate, if the panel budget is exhausted.
+    This is the reference the faster symbol paths below are tested
+    against.
     """
     def g(t):
         out = _oscillating_factor(phase, t)
@@ -309,36 +341,189 @@ def oscillatory_quadrature(phase: Callable, amplitude: Callable,
     return complex(res[0])
 
 
-def _psi_support_quadrature(phase, fam: BumpFamily, tol: float,
-                            panel_budget: int, extra_amplitude=None) -> complex:
-    """Integrate e(phase) psi (times an optional factor) over supp psi."""
-    if extra_amplitude is None:
-        amp = fam.psi
-    else:
-        def amp(t):
-            return np.asarray(fam.psi(t)) * np.asarray(extra_amplitude(t))
-    total = 0j
-    for a, b in ((-2.0, -0.5), (0.5, 2.0)):
-        total += oscillatory_quadrature(phase, amp, (a, b), tol / 2, panel_budget)
-    return total
+# ---------------------------------------------------------------------------
+# adaptive Levin quadrature for polynomial phases
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points cos(pi k / n), k = 0..n (n even), their differentiation
+    matrix and their Clenshaw-Curtis weights on [-1, 1]."""
+    theta = np.pi * np.arange(n + 1) / n
+    x = np.cos(theta)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    diff = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    v = np.ones(n - 1)
+    for k in range(1, n // 2):
+        v -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k * k - 1)
+    v -= np.cos(n * theta[1:-1]) / (n * n - 1)
+    weights = np.concatenate([[1.0 / (n * n - 1)], 2.0 * v / n,
+                              [1.0 / (n * n - 1)]])
+    return x, diff, weights
 
 
-def _psi_support_quadrature_multi(phase, fam: BumpFamily, weight_stack,
-                                  n_out: int, tol: float,
-                                  panel_budget: int) -> np.ndarray:
+# 17 Chebyshev points per panel, index 0 at the right end.  The
+# even-indexed 9 form the nested rule; the gap between the 17-point and
+# the 9-point results is the error estimate.  Each rule is
+# (differentiation matrix, Clenshaw-Curtis weights, stride into the 17).
+_CHEB_X, _D17, _W17 = _chebyshev(16)
+_NESTED_RULES = ((_D17, _W17, 1), (*_chebyshev(8)[1:], 2))
+_LEVIN_CHUNK = 1 << 10
+# A panel on which the phase turns through fewer cycles than this is
+# integrated by Clenshaw-Curtis on the same points: the 17 points resolve
+# e(phase) there, while the collocation matrix, nilpotent differentiation
+# plus a small diagonal, is near singular.
+_LEVIN_MIN_TURNS = 1.0
+
+# Phase variation int |phase'| over supp psi, in cycles, above which the
+# symbol integrals use the Levin core.  Below it quarter-period
+# Gauss-Kronrod panels are few and cost less than the collocation solves.
+LEVIN_MIN_CYCLES = 300.0
+
+
+@dataclass(frozen=True)
+class _PolynomialPhase:
+    """The phase -(X t^d + Y t) of every symbol integral in this module."""
+
+    X: float
+    Y: float
+    d: int
+
+    def __call__(self, t):
+        # repeated multiplies: the power ufunc dominates otherwise
+        p = t * t
+        for _ in range(self.d - 2):
+            p = p * t
+        return -(self.X * p + self.Y * t)
+
+    def derivative(self, t):
+        p = t
+        for _ in range(self.d - 2):
+            p = p * t
+        return -(self.d * self.X * p + self.Y)
+
+    @cached_property
+    def critical_points(self) -> list[float]:
+        """The real roots of phase': one for d even; for d odd two, the
+        larger first, or none."""
+        if self.X == 0.0:
+            return []
+        rhs = -self.Y / (self.d * self.X)
+        p = self.d - 1
+        if self.d % 2 == 0:
+            return [math.copysign(abs(rhs) ** (1.0 / p), rhs)]
+        if rhs <= 0.0:
+            return []
+        r = rhs ** (1.0 / p)
+        return [r, -r]
+
+    def variation(self, a: float, b: float) -> float:
+        """int_a^b |phase'(t)| dt, exact: phase is monotone between critical points."""
+        cuts = [a] + sorted(r for r in self.critical_points if a < r < b) + [b]
+        vals = [self(c) for c in cuts]
+        return sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:]))
+
+
+def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
+                 lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levin integrals and error estimates over each [lo_i, hi_i].
+
+    On each panel, collocation at the Chebyshev points solves
+    p' + 2 pi i phase' p = a for every amplitude of the stack at once;
+    then int e(phase) a = p(hi) e(phase(hi)) - p(lo) e(phase(lo)).  Any
+    solution gives the same value, since the homogeneous ones are
+    multiples of e(-phase).  Panels of less than _LEVIN_MIN_TURNS cycles
+    use Clenshaw-Curtis instead.  The error estimate is the raw gap
+    between the 17-point and the nested 9-point results.
+    """
+    n = len(lo)
+    res = np.empty((n_out, n), dtype=complex)
+    err = np.empty((n_out, n))
+    for start in range(0, n, _LEVIN_CHUNK):
+        sl = slice(start, min(start + _LEVIN_CHUNK, n))
+        half = 0.5 * (hi[sl] - lo[sl])
+        t = 0.5 * (lo[sl] + hi[sl])[:, None] + half[:, None] * _CHEB_X
+        amp = np.asarray(amplitude(t.ravel())).reshape((n_out,) + t.shape)
+        dphi = phase.derivative(t)
+        slow = 2.0 * half * np.abs(dphi).max(axis=1) < _LEVIN_MIN_TURNS
+        fast = ~slow
+        both = np.empty((2, n_out, len(half)), dtype=complex)
+        if slow.any():
+            f = amp[:, slow] * _oscillating_factor(phase, t[slow])
+            for out, (_, wts, step) in zip(both, _NESTED_RULES):
+                out[:, slow] = (f[..., ::step] @ wts) * half[slow]
+        if fast.any():
+            h = half[fast]
+            rhs = amp[:, fast].transpose(1, 2, 0) * h[:, None, None]
+            w = (2j * np.pi) * h[:, None] * dphi[fast]
+            e_hi = _oscillating_factor(phase, hi[sl][fast])[:, None]
+            e_lo = _oscillating_factor(phase, lo[sl][fast])[:, None]
+            for out, (diff, _, step) in zip(both, _NESTED_RULES):
+                idx = np.arange(len(diff))
+                mat = np.broadcast_to(diff, (len(h),) + diff.shape).astype(complex)
+                mat[:, idx, idx] += w[:, ::step]
+                p = np.linalg.solve(mat, rhs[:, ::step])
+                out[:, fast] = (p[:, 0] * e_hi - p[:, -1] * e_lo).T
+        res[:, sl] = both[0]
+        err[:, sl] = np.abs(both[0] - both[1])
+    return res, err
+
+
+def _adaptive_levin(phase: _PolynomialPhase, amplitude, n_out: int,
+                    edges: list[np.ndarray], tol: float,
+                    panel_budget: int) -> np.ndarray:
+    """Integrate e(phase) times the n_out stacked amplitudes, adaptively.
+
+    edges holds one sorted breakpoint array per interval of the domain;
+    the amplitudes must be smooth between breakpoints and phase' may
+    vanish only at them.  Failing panels are bisected as in the
+    Gauss-Kronrod core; the cost depends on the amplitudes' smoothness
+    and on the critical points, not on the frequency.
+    """
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+
+    def batch(lo, hi):
+        return _levin_batch(phase, amplitude, n_out, lo, hi)
+
+    vals, err = batch(lo, hi)
+    return _bisect_to_tolerance(batch, lo, hi, vals, err, tol, panel_budget)
+
+
+# supp psi, and the points where psi's smoothstep pieces meet inside it
+_PSI_SUPPORT = ((-2.0, -0.5), (0.5, 2.0))
+_PSI_JOINTS = (-1.0, 1.0)
+
+
+def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
+                            tol: float, panel_budget: int, weights=None,
+                            n_out: int = 1, breakpoints=()) -> np.ndarray:
     """Integrate e(phase) psi w_i over supp psi for a stack of weights.
 
-    weight_stack maps a node array to an (n_out, nodes) real stack; the
-    common factor e(phase) psi is evaluated once per node and shared, so
-    the cost of n_out integrals is close to the cost of one.
+    weights maps a node array to an (n_out, nodes) real stack, or is
+    None for the single weight 1; the common factor is evaluated once per
+    node and shared, so the cost of n_out integrals is close to the cost
+    of one.  Above LEVIN_MIN_CYCLES of phase variation the Levin core
+    integrates on panels broken at psi's joints, the critical points and
+    the given breakpoints, where the weights may lose smoothness; below
+    it the Gauss-Kronrod core does, on each half of the support.
     """
+    def stack(base, t):
+        return base[None, :] if weights is None else base[None, :] * weights(t)
+
+    if sum(phase.variation(a, b) for a, b in _PSI_SUPPORT) > LEVIN_MIN_CYCLES:
+        cuts = (*_PSI_JOINTS, *phase.critical_points, *breakpoints)
+        edges = [np.unique([a, b, *(c for c in cuts if a < c < b)])
+                 for a, b in _PSI_SUPPORT]
+        return _adaptive_levin(phase, lambda t: stack(fam.psi(t), t), n_out,
+                               edges, tol, panel_budget)
+
     def g(t):
-        base = _oscillating_factor(phase, t)
-        base *= np.asarray(fam.psi(t))
-        return base[None, :] * weight_stack(t)
+        return stack(_oscillating_factor(phase, t) * fam.psi(t), t)
 
     total = np.zeros(n_out, dtype=complex)
-    for a, b in ((-2.0, -0.5), (0.5, 2.0)):
+    for a, b in _PSI_SUPPORT:
         total += _adaptive_oscillatory(phase, g, n_out, (a, b), tol / 2,
                                        panel_budget)
     return total
@@ -354,39 +539,25 @@ def H_j(x: float, y: float, j: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
     Computed after the substitution t = 2^j u, which keeps the quadrature
     domain fixed at the support of psi for every j.
     """
-    X = math.ldexp(float(x), d * j)
-    Y = math.ldexp(float(y), j)
-
-    def phase(u):
-        return -(X * u ** d + Y * u)
-
-    return _psi_support_quadrature(phase, fam, tol, panel_budget)
+    phase = _PolynomialPhase(math.ldexp(float(x), d * j),
+                             math.ldexp(float(y), j), d)
+    return complex(_psi_support_quadrature(phase, fam, tol, panel_budget)[0])
 
 
 def mu(lam: float, l: int, k: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
        tol: float = 1e-10) -> complex:
     """int e(-lam 2^(kd) t^d) psi(t) dt; |mu| <= C min(2^l, 1) on the slab."""
-    scale = math.ldexp(float(lam), k * d)
-
-    def phase(t):
-        return -scale * t ** d
-
-    return _psi_support_quadrature(phase, fam, tol, 2 ** 18)
+    phase = _PolynomialPhase(math.ldexp(float(lam), k * d), 0.0, d)
+    return complex(_psi_support_quadrature(phase, fam, tol, 2 ** 18)[0])
 
 
 def mu_bar(lam: float, l: int, k: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
            tol: float = 1e-10) -> complex:
     """-2 pi i int e(-lam 2^(kd) t^d) t psi(t) dt."""
-    scale = math.ldexp(float(lam), k * d)
-
-    def phase(t):
-        return -scale * t ** d
-
-    def times_t(t):
-        return np.asarray(t, dtype=float)
-
-    val = _psi_support_quadrature(phase, fam, tol, 2 ** 18, extra_amplitude=times_t)
-    return -2j * np.pi * val
+    phase = _PolynomialPhase(math.ldexp(float(lam), k * d), 0.0, d)
+    val = _psi_support_quadrature(phase, fam, tol, 2 ** 18,
+                                  weights=lambda t: t[None, :])
+    return -2j * np.pi * complex(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +605,7 @@ def critical_point(xi: float, ctx: PhaseContext) -> list[float]:
     if xi == 0.0:
         warnings.warn("critical_point: xi = 0 is degenerate; no roots returned")
         return []
-    coeff = ctx.d * math.ldexp(ctx.lam, ctx.k * (ctx.d - 1))
-    rhs = -xi / coeff
-    p = ctx.d - 1
-    if ctx.d % 2 == 0:
-        t = math.copysign(abs(rhs) ** (1.0 / p), rhs)
-        return [t]
-    if rhs <= 0.0:
-        return []
-    r = rhs ** (1.0 / p)
-    return [r, -r]
+    return list(_g_phase(ctx, xi).critical_points)
 
 
 def conjugate_phase_constant(d: int) -> float:
@@ -464,18 +626,8 @@ def signed_power(xi: float, d: int) -> float:
     return abs(xi) ** p
 
 
-def _g_phase(ctx: PhaseContext, xi: float):
-    X = ctx.lam2kd
-    Y = math.ldexp(float(xi), ctx.k)
-
-    def phase(t):
-        # repeated multiplies: the power ufunc dominates otherwise
-        p = t * t
-        for _ in range(ctx.d - 2):
-            p = p * t
-        return -(X * p + Y * t)
-
-    return phase
+def _g_phase(ctx: PhaseContext, xi: float) -> _PolynomialPhase:
+    return _PolynomialPhase(ctx.lam2kd, math.ldexp(float(xi), ctx.k), ctx.d)
 
 
 def G_hat_direct(xi: float, ctx: PhaseContext, fam: BumpFamily = DEFAULT_BUMPS,
@@ -485,7 +637,8 @@ def G_hat_direct(xi: float, ctx: PhaseContext, fam: BumpFamily = DEFAULT_BUMPS,
     if zf == 0.0:
         return 0j
     phase = _g_phase(ctx, xi)
-    return zf * _psi_support_quadrature(phase, fam, tol, panel_budget)
+    return zf * complex(_psi_support_quadrature(phase, fam, tol,
+                                                panel_budget)[0])
 
 
 def stationary_phase_split(xi: float, ctx: PhaseContext,
@@ -507,24 +660,26 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     zf = fam.zeta(math.ldexp(float(xi), ctx.k - ctx.l))
     if zf == 0.0:
         return (0j, 0j, None if d_even else 0j)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        roots = critical_point(xi, ctx) if xi != 0.0 else []
+    # zeta vanishes at xi = 0, so the roots here are never degenerate
     phase = _g_phase(ctx, xi)
+    roots = phase.critical_points
     if not roots:
-        whole = zf * _psi_support_quadrature(phase, fam, tol, panel_budget)
+        whole = zf * complex(_psi_support_quadrature(phase, fam, tol,
+                                                     panel_budget)[0])
         return (whole, 0j, None if d_even else 0j)
 
     # the excised part and the per-root windows share the phase, hence
     # the same panel layout; stacking them shares the node evaluations
     def weight_stack(t):
-        t = np.asarray(t, dtype=float)
         windows = [np.asarray(fam.xi0(t - r)) for r in roots]
         return np.stack([1.0 - sum(windows)] + windows)
 
-    vals = zf * _psi_support_quadrature_multi(phase, fam, weight_stack,
-                                              1 + len(roots), tol,
-                                              panel_budget)
+    # xi0(s) = eta(8 d s) has its smoothstep joints at |s| = 1/(8d), 2/(8d)
+    window_joints = [r + u / (8.0 * fam.d) for r in roots
+                     for u in (-2.0, -1.0, 1.0, 2.0)]
+    vals = zf * _psi_support_quadrature(phase, fam, tol, panel_budget,
+                                        weight_stack, 1 + len(roots),
+                                        window_joints)
     a_hat = complex(vals[0])
     b_parts = [complex(v) for v in vals[1:]]
     if d_even:

@@ -147,19 +147,19 @@ def _embed_on_ring(f: Signal, ring_size: int) -> np.ndarray:
 def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
     """Evaluate (m(beta) fhat(beta))^v on a cyclic ring.
 
-    m is sampled at beta = t/ring_size.  The ring must be at least four
-    times the support width of f; smaller rings alias the output.
+    m is called once, on the array of all betas = t/ring_size, and must
+    return an array of the same shape; anything else raises ValueError.
+    The ring must be at least four times the support width of f; smaller
+    rings alias the output.
     """
     if ring_size < 4 * f.support_width:
         raise ValueError("ring_size must be >= 4x the support width of f")
     ring = _embed_on_ring(f, ring_size)
     betas = np.arange(ring_size) / ring_size
-    try:
-        mv = np.asarray(m(betas), dtype=complex)
-        if mv.shape != betas.shape:
-            raise TypeError
-    except TypeError:
-        mv = np.array([m(b) for b in betas], dtype=complex)
+    mv = np.asarray(m(betas), dtype=complex)
+    if mv.shape != betas.shape:
+        raise ValueError(f"multiplier returned shape {mv.shape}, "
+                         f"expected {betas.shape}")
     return Signal(0, idft(dft(ring) * mv))
 
 

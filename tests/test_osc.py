@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from modhilb import osc
 from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
                          PhaseContext, QuadratureError,
                          conjugate_phase_constant, critical_point, mu, mu_bar,
@@ -372,3 +373,146 @@ class TestSquareFunction:
         conv = apply_multiplier(f, symbol, ring)
         expected = (math.ldexp(1.0, d * k) * slab_lo) ** 0.5 * np.abs(conv.values)
         assert np.allclose(np.abs(out.values), expected, atol=1e-8)
+
+
+def _psi_oracle(phase, tol, fam=DEFAULT_BUMPS, weight=None):
+    """int e(phase) psi weight over supp psi by the Gauss-Kronrod reference."""
+    def amp(t):
+        base = np.asarray(fam.psi(t))
+        return base if weight is None else base * weight(t)
+
+    return sum(oscillatory_quadrature(phase, amp, ab, tol / 2)
+               for ab in ((-2.0, -0.5), (0.5, 2.0)))
+
+
+def _g_phase(ctx, xi):
+    X, Y = ctx.lam2kd, math.ldexp(xi, ctx.k)
+    return lambda t: -(X * np.asarray(t) ** ctx.d + Y * np.asarray(t))
+
+
+@pytest.fixture
+def levin_calls(monkeypatch):
+    """Counts the integrals routed to the Levin core."""
+    calls = []
+    core = osc._adaptive_levin
+
+    def counted(*args):
+        calls.append(args[0])
+        return core(*args)
+
+    monkeypatch.setattr(osc, "_adaptive_levin", counted)
+    return calls
+
+
+class TestLevinAgainstGaussKronrod:
+    """The Levin path of the symbol integrals against oscillatory_quadrature."""
+
+    TOL = 1e-10
+
+    def _check_symbol(self, xi, ctx, levin_calls):
+        fam = BumpFamily(d=ctx.d)
+        zf = fam.zeta(math.ldexp(xi, ctx.k - ctx.l))
+        phase = _g_phase(ctx, xi)
+        direct = G_hat_direct(xi, ctx, fam, self.TOL)
+        assert levin_calls, "the symbol did not reach the Levin core"
+        assert abs(direct - zf * _psi_oracle(phase, self.TOL, fam)) < self.TOL
+        split = stationary_phase_split(xi, ctx, fam, self.TOL)
+        roots = critical_point(xi, ctx)
+        windows = [lambda t, r=r: np.asarray(fam.xi0(np.asarray(t) - r))
+                   for r in roots]
+        weights = [lambda t: 1.0 - sum(w(t) for w in windows)] + windows
+        assert all(p in (0j, None) for p in split[len(weights):])
+        for part, weight in zip(split, weights):
+            expect = zf * _psi_oracle(phase, self.TOL, fam, weight)
+            assert abs(part - expect) < self.TOL
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("l", [6, 10])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_symbol_and_split(self, d, l, sign, levin_calls):
+        k = 40
+        ctx = PhaseContext(d, k, l, 1.37 * math.ldexp(1.0, l - d * k))
+        self._check_symbol(sign * 1.9 * math.ldexp(1.0, l - k), ctx,
+                           levin_calls)
+
+    def test_sampled_point_at_l12(self, levin_calls):
+        d, k, l = 2, 40, 12
+        ctx = PhaseContext(d, k, l, 1.61 * math.ldexp(1.0, l - d * k))
+        self._check_symbol(-2.3 * math.ldexp(1.0, l - k), ctx, levin_calls)
+
+    @pytest.mark.parametrize("edge_root", [0.51, -0.51, 0.49])
+    def test_critical_point_near_psi_edge(self, edge_root, levin_calls):
+        # a stationary point a hair inside or outside |t| = 1/2, where
+        # psi starts: a panel layout that misses it loses digits
+        d, k, l = 2, 40, 7
+        ctx = PhaseContext(d, k, l, 1.2 * math.ldexp(1.0, l - d * k))
+        xi = -d * ctx.lam * math.ldexp(edge_root, k * (d - 1))
+        (root,) = critical_point(xi, ctx)
+        assert abs(root - edge_root) < 1e-12
+        self._check_symbol(xi, ctx, levin_calls)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_H_j(self, d, levin_calls):
+        # roots of phase' at 1.3 (d = 2) and +-1.1 (d = 3), inside supp psi
+        j = 10
+        X = 350.0
+        Y = -2.0 * X * 1.3 if d == 2 else -3.0 * X * 1.21
+        val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d,
+                  tol=self.TOL)
+        assert levin_calls
+        expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
+                                         + Y * np.asarray(t)), self.TOL)
+        assert abs(val - expect) < self.TOL
+
+    def test_mu_and_mu_bar(self, levin_calls):
+        d, k, l = 3, 10, 8
+        lam = 1.1 * math.ldexp(1.0, l - d * k)
+        scale = math.ldexp(lam, k * d)
+
+        def phase(t):
+            return -scale * np.asarray(t) ** d
+
+        assert abs(mu(lam, l, k, d) - _psi_oracle(phase, 1e-10)) < 1e-10
+        expect = -2j * math.pi * _psi_oracle(phase, 1e-10,
+                                             weight=lambda t: np.asarray(t))
+        assert abs(mu_bar(lam, l, k, d) - expect) < 2 * math.pi * 1e-10
+        assert len(levin_calls) == 2
+
+    def test_below_crossover_is_the_reference_path(self, levin_calls):
+        # few cycles: H_j is oscillatory_quadrature on each half, bit for bit
+        x, y, j, d = 3e-4, 0.05, 5, 2
+        X, Y = math.ldexp(x, d * j), math.ldexp(y, j)
+        phase = osc._PolynomialPhase(X, Y, d)
+        assert (phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0)
+                < osc.LEVIN_MIN_CYCLES)
+        expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
+                                         + Y * np.asarray(t)), 1e-10)
+        assert H_j(x, y, j, d) == expect
+        assert not levin_calls
+
+    def test_budget_exhaustion_carries_estimate(self, levin_calls):
+        d, k, l = 2, 40, 10
+        ctx = PhaseContext(d, k, l, 1.3 * math.ldexp(1.0, l - d * k))
+        with pytest.raises(QuadratureError) as exc:
+            G_hat_direct(-1.5 * math.ldexp(1.0, l - k), ctx, tol=1e-12,
+                         panel_budget=6)
+        assert levin_calls
+        est = np.asarray(exc.value.estimate)
+        assert est.shape == (1,) and np.all(np.isfinite(est))
+
+
+class TestPhaseVariation:
+    @pytest.mark.parametrize("X, Y, d", [
+        (500.0, -1300.0, 2),    # critical point 1.3 inside [1/2, 2]
+        (-80.0, 30.0, 2),       # critical point 0.1875, outside
+        (200.0, -726.0, 3),     # critical points +-1.1
+        (200.0, 726.0, 3),      # none
+        (0.0, 45.0, 2),         # linear phase
+    ])
+    def test_closed_form_matches_midpoint_sum(self, X, Y, d):
+        phase = osc._PolynomialPhase(X, Y, d)
+        n = 10 ** 6
+        for a, b in ((-2.0, -0.5), (0.5, 2.0)):
+            t = a + (np.arange(n) + 0.5) * ((b - a) / n)
+            fine = np.abs(d * X * t ** (d - 1) + Y).sum() * ((b - a) / n)
+            assert phase.variation(a, b) == pytest.approx(fine, rel=1e-6)

@@ -94,6 +94,20 @@ class TestApplyMultiplier:
         with pytest.raises(ValueError):
             apply_multiplier(f, lambda b: np.ones_like(b), 16)
 
+    def test_multiplier_must_return_betas_shape(self):
+        f = Signal(0, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            apply_multiplier(f, lambda b: 1.0, 16)
+        with pytest.raises(ValueError):
+            apply_multiplier(f, lambda b: np.ones((len(b), 2)), 16)
+
+    def test_type_error_inside_multiplier_propagates(self):
+        # a scalar-only multiplier is a bug in the caller, not a cue to
+        # retry it point by point
+        f = Signal(0, np.array([1.0, 2.0]))
+        with pytest.raises(TypeError):
+            apply_multiplier(f, lambda b: math.cos(2.0 * math.pi * b), 16)
+
     def test_mj_multiplier_matches_convolution_oracle(self):
         # direct double-loop convolution with n -> psi_j(n) e(-lam n^d)
         from modhilb.osc import psi_j
