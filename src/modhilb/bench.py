@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -458,42 +458,3 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config, rows, summary, passed)
     report.write()
     return report
-
-
-def ergodic_demo(N: int, f: spectral.Signal, j_schedule: Sequence[int],
-                 grid_per_interval: int, d: int,
-                 output_path: str = ".") -> ExperimentReport:
-    """Pointwise-convergence demo for the cyclic shift on Z/NZ.
-
-    Computes the modulated transforms C_lam f along the dyadic schedule
-    lam_i = 2^(-d j_i), reports consecutive Cauchy increments in l2, and
-    the oscillation sum over the induced intervals.
-    """
-    sched = list(j_schedule)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("j_schedule must be strictly increasing")
-    if sched and d * sched[-1] > 1000:
-        raise ValueError("schedule underflows double precision lambda")
-    radius = N // 4
-    fhat = spectral.dft(spectral._embed_on_ring(f, N))
-    outputs = []
-    for j in sched:
-        lam = math.ldexp(1.0, -d * j)
-        outputs.append(spectral._carleson_lambda_output(fhat, lam, d, radius, N))
-    rows = []
-    for i in range(len(sched) - 1):
-        inc = float(np.linalg.norm(outputs[i + 1] - outputs[i]))
-        rows.append({"j_lo": sched[i], "j_hi": sched[i + 1], "increment": inc})
-    if len(sched) >= 2:
-        intervals = [(math.ldexp(1.0, -d * sched[i + 1]),
-                      math.ldexp(1.0, -d * sched[i]),
-                      math.ldexp(1.0, -d * sched[i]))
-                     for i in range(len(sched) - 1)]
-        osc_sum = spectral.oscillation_sum(f, intervals, grid_per_interval, d,
-                                           max(10, sched[-1]), N)
-    else:
-        osc_sum = 0.0
-    config = ExperimentConfig("ergodic", {"N": N, "d": d, "seed": 0},
-                              output_path)
-    summary = {"oscillation_sum": osc_sum, "increments": [r["increment"] for r in rows]}
-    return ExperimentReport(config, rows, summary, True)

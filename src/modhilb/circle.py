@@ -23,8 +23,11 @@ import numpy as np
 
 from .farey import XSet, dyadic_width, xset_contains
 from .osc import DEFAULT_BUMPS, BumpFamily, H_j
-from .spectral import (LambdaGrid, Signal, _embed_on_ring, _mj_kernel_on_ring,
-                       dft, idft, multiplier_Mj)
+from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_outputs,
+                       multiplier_Mj)
+# circle calls no transform itself; dft and idft stay importable here
+# because the benchmark's tracer wraps them by name on this module
+from .spectral import dft, idft  # noqa: F401
 from .weyl import _complete_sum
 
 
@@ -322,11 +325,9 @@ def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,
     lams = [lam for lam in grid.points if not xset_contains(lam, xs)]
     if not lams:
         return 0.0
-    fhat = dft(_embed_on_ring(f, ring_size))
     acc = np.zeros(ring_size)
-    for lam in lams:
-        ker = _mj_kernel_on_ring(lam, j, p.d, ring_size, p.fam)
-        out = idft(fhat * dft(ker))
+    for out in _modulated_outputs(f, lams, _block_taps(j, p.fam), p.d,
+                                  ring_size):
         np.maximum(acc, np.abs(out), out=acc)
     denom = f.norm2()
     if denom == 0.0:

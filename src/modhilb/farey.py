@@ -1,8 +1,7 @@
 """Exact rational machinery for the circle method.
 
 Reduced fractions on the torus, Dirichlet approximation, Farey level
-enumeration, major-box and X_j membership tests, and the elementary
-arithmetic functions (Moebius, divisors) used by the inversion steps.
+enumeration, and major-box and X_j membership tests.
 
 All operations are pure functions on immutable inputs.
 """
@@ -210,56 +209,3 @@ def xset_contains(lam: float, xs: XSet) -> bool:
         if torus_distance(lam, a / q) <= xs.width:
             return True
     return False
-
-
-def mobius(n: int) -> int:
-    """The Moebius function mu(n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
-
-
-def mobius_sieve(n_max: int) -> np.ndarray:
-    """mu(1..n_max) as an array (index 0 unused); linear sieve."""
-    mu = np.ones(n_max + 1, dtype=np.int64)
-    primes = []
-    is_comp = np.zeros(n_max + 1, dtype=bool)
-    for i in range(2, n_max + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n_max:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]

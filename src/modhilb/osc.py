@@ -498,8 +498,9 @@ _PSI_JOINTS = (-1.0, 1.0)
 
 def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
                             tol: float, panel_budget: int, weights=None,
-                            n_out: int = 1, breakpoints=()) -> np.ndarray:
-    """Integrate e(phase) psi w_i over supp psi for a stack of weights.
+                            n_out: int = 1, breakpoints=(),
+                            factor: complex = 1.0) -> np.ndarray:
+    """factor times the integrals of e(phase) psi w_i over supp psi.
 
     weights maps a node array to an (n_out, nodes) real stack, or is
     None for the single weight 1; the common factor is evaluated once per
@@ -507,7 +508,9 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     of one.  Above LEVIN_MIN_CYCLES of phase variation the Levin core
     integrates on panels broken at psi's joints, the critical points and
     the given breakpoints, where the weights may lose smoothness; below
-    it the Gauss-Kronrod core does, on each half of the support.
+    it the Gauss-Kronrod core does, on each half of the support.  A
+    QuadratureError carries factor times the estimate over all of supp
+    psi, so it estimates the value a successful call would return.
     """
     def stack(base, t):
         return base[None, :] if weights is None else base[None, :] * weights(t)
@@ -516,17 +519,28 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
         cuts = (*_PSI_JOINTS, *phase.critical_points, *breakpoints)
         edges = [np.unique([a, b, *(c for c in cuts if a < c < b)])
                  for a, b in _PSI_SUPPORT]
-        return _adaptive_levin(phase, lambda t: stack(fam.psi(t), t), n_out,
-                               edges, tol, panel_budget)
+        parts = [lambda: _adaptive_levin(phase, lambda t: stack(fam.psi(t), t),
+                                         n_out, edges, tol, panel_budget)]
+    else:
+        def g(t):
+            return stack(_oscillating_factor(phase, t) * fam.psi(t), t)
 
-    def g(t):
-        return stack(_oscillating_factor(phase, t) * fam.psi(t), t)
+        parts = [lambda ab=ab: _adaptive_oscillatory(phase, g, n_out, ab,
+                                                     tol / 2, panel_budget)
+                 for ab in _PSI_SUPPORT]
 
     total = np.zeros(n_out, dtype=complex)
-    for a, b in _PSI_SUPPORT:
-        total += _adaptive_oscillatory(phase, g, n_out, (a, b), tol / 2,
-                                       panel_budget)
-    return total
+    failure = None
+    for part in parts:
+        try:
+            total += part()
+        except QuadratureError as exc:
+            # go on to the other half, so the estimate covers supp psi
+            failure = failure or exc
+            total += exc.estimate
+    if failure is not None:
+        raise QuadratureError(str(failure), factor * total) from None
+    return factor * total
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +570,9 @@ def mu_bar(lam: float, l: int, k: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
     """-2 pi i int e(-lam 2^(kd) t^d) t psi(t) dt."""
     phase = _PolynomialPhase(math.ldexp(float(lam), k * d), 0.0, d)
     val = _psi_support_quadrature(phase, fam, tol, 2 ** 18,
-                                  weights=lambda t: t[None, :])
-    return -2j * np.pi * complex(val[0])
+                                  weights=lambda t: t[None, :],
+                                  factor=-2j * np.pi)
+    return complex(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +652,8 @@ def G_hat_direct(xi: float, ctx: PhaseContext, fam: BumpFamily = DEFAULT_BUMPS,
     if zf == 0.0:
         return 0j
     phase = _g_phase(ctx, xi)
-    return zf * complex(_psi_support_quadrature(phase, fam, tol,
-                                                panel_budget)[0])
+    return complex(_psi_support_quadrature(phase, fam, tol, panel_budget,
+                                           factor=zf)[0])
 
 
 def stationary_phase_split(xi: float, ctx: PhaseContext,
@@ -664,8 +679,8 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     phase = _g_phase(ctx, xi)
     roots = phase.critical_points
     if not roots:
-        whole = zf * complex(_psi_support_quadrature(phase, fam, tol,
-                                                     panel_budget)[0])
+        whole = complex(_psi_support_quadrature(phase, fam, tol, panel_budget,
+                                                factor=zf)[0])
         return (whole, 0j, None if d_even else 0j)
 
     # the excised part and the per-root windows share the phase, hence
@@ -677,9 +692,9 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     # xi0(s) = eta(8 d s) has its smoothstep joints at |s| = 1/(8d), 2/(8d)
     window_joints = [r + u / (8.0 * fam.d) for r in roots
                      for u in (-2.0, -1.0, 1.0, 2.0)]
-    vals = zf * _psi_support_quadrature(phase, fam, tol, panel_budget,
-                                        weight_stack, 1 + len(roots),
-                                        window_joints)
+    vals = _psi_support_quadrature(phase, fam, tol, panel_budget,
+                                   weight_stack, 1 + len(roots),
+                                   window_joints, factor=zf)
     a_hat = complex(vals[0])
     b_parts = [complex(v) for v in vals[1:]]
     if d_even:

@@ -166,26 +166,52 @@ def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
 # ---------------------------------------------------------------------------
 # the multipliers
 
+def _frac(x: np.ndarray) -> np.ndarray:
+    return x - np.floor(x)
+
+
 def _reduced_phase(lam: float, beta: float, m: np.ndarray, d: int) -> np.ndarray:
     """(lam m^d + beta m) mod 1 in extended precision."""
     ml = m.astype(np.longdouble)
-    term1 = np.longdouble(lam) * ml ** d
-    term2 = np.longdouble(beta) * ml
-    phase = (term1 - np.floor(term1)) + (term2 - np.floor(term2))
-    return (phase - np.floor(phase)).astype(np.float64)
+    phase = _frac(np.longdouble(lam) * ml ** d) + _frac(np.longdouble(beta) * ml)
+    return _frac(phase).astype(np.float64)
 
 
-def _psi_support_indices(j: int) -> np.ndarray:
-    lo, hi = 2 ** (j - 1), 2 ** (j + 1)
+def _taps_between(lo: int, hi: int) -> np.ndarray:
+    """The integers m with lo <= |m| <= hi, ascending."""
     pos = np.arange(lo, hi + 1, dtype=np.int64)
     return np.concatenate([-pos[::-1], pos])
+
+
+def _block_taps(j: int,
+                fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of M_j: psi_j(m) on the support of psi_j."""
+    m = _taps_between(2 ** (j - 1), 2 ** (j + 1))
+    return m, psi_j(m.astype(float), j, fam)
+
+
+def _partition_taps(J: int,
+                    fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1."""
+    m = _taps_between(1, 2 ** (J + 1))
+    w = np.zeros(len(m))
+    for j in range(1, J + 1):
+        w += psi_j(m.astype(float), j, fam)
+    unit = np.abs(m) == 1
+    w[unit] = 1.0 / m[unit]
+    return m, w
+
+
+def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact kernel 1/m, 0 < |m| <= radius."""
+    m = _taps_between(1, radius)
+    return m, 1.0 / m
 
 
 def multiplier_Mj(lam: float, beta: float, j: int, d: int,
                   fam: BumpFamily = DEFAULT_BUMPS) -> complex:
     """The j-th block: sum_m psi_j(m) e(-lam m^d - beta m)."""
-    m = _psi_support_indices(j)
-    weights = psi_j(m.astype(float), j, fam)
+    m, weights = _block_taps(j, fam)
     phase = _reduced_phase(lam, beta, m, d)
     return complex((weights * np.exp(-2j * np.pi * phase)).sum())
 
@@ -207,39 +233,26 @@ def multiplier_M(lam: float, beta: float, d: int, J: int,
     return complex(total)
 
 
-def _partition_kernel_on_ring(lam: float, d: int, J: int, ring_size: int,
-                              fam: BumpFamily = DEFAULT_BUMPS) -> np.ndarray:
-    """Spatial kernel of multiplier_M(lam, ., d, J) periodized onto the ring."""
-    ring = np.zeros(ring_size, dtype=complex)
-    for j in range(1, J + 1):
-        m = _psi_support_indices(j)
-        weights = psi_j(m.astype(float), j, fam)
-        phase = _reduced_phase(lam, 0.0, m, d)
-        np.add.at(ring, m % ring_size, weights * np.exp(-2j * np.pi * phase))
-    for m in (1, -1):
-        ring[m % ring_size] += np.exp(-2j * np.pi * ((lam * m ** d) % 1.0)) / m
-    return ring
+def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
+                       ring_size: int):
+    """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
 
-
-def _sharp_kernel_on_ring(lam: float, d: int, radius: int,
-                          ring_size: int) -> np.ndarray:
-    """Spatial kernel e(-lam m^d)/m, 0 < |m| <= radius, on the ring."""
-    ring = np.zeros(ring_size, dtype=complex)
-    m = np.arange(1, radius + 1, dtype=np.int64)
-    m = np.concatenate([-m[::-1], m])
-    phase = _reduced_phase(lam, 0.0, m, d)
-    np.add.at(ring, m % ring_size, np.exp(-2j * np.pi * phase) / m)
-    return ring
-
-
-def _mj_kernel_on_ring(lam: float, j: int, d: int, ring_size: int,
-                       fam: BumpFamily = DEFAULT_BUMPS) -> np.ndarray:
-    ring = np.zeros(ring_size, dtype=complex)
-    m = _psi_support_indices(j)
-    weights = psi_j(m.astype(float), j, fam)
-    phase = _reduced_phase(lam, 0.0, m, d)
-    np.add.at(ring, m % ring_size, weights * np.exp(-2j * np.pi * phase))
-    return ring
+    taps = (m, w) is the kernel's lambda-independent tap table (the
+    _*_taps builders); f is embedded and transformed once.  Taps beyond
+    the ring wrap onto it.
+    """
+    m, w = taps
+    idx = m % ring_size
+    powers = m.astype(np.longdouble) ** d
+    fhat = dft(_embed_on_ring(f, ring_size))
+    for lam in lams:
+        # _reduced_phase(lam, 0.0, m, d) with m^d computed once: a
+        # fraction that rounded up to 1 (tiny lam, negative m^d) is 0
+        phase = _frac(np.longdouble(lam) * powers)
+        phase[phase == 1] = 0
+        ker = np.zeros(ring_size, dtype=complex)
+        np.add.at(ker, idx, w * np.exp(-2j * np.pi * phase.astype(np.float64)))
+        yield idft(fhat * dft(ker))
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +274,14 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
         raise ValueError("empty modulation grid")
     if ring_size < 4 * f.support_width:
         raise ValueError("ring_size must be >= 4x the support width of f")
-    if radius is None:
-        radius = 2 ** (J + 1)
-    fhat = dft(_embed_on_ring(f, ring_size))
+    if kernel == "partition":
+        taps = _partition_taps(J, fam)
+    elif kernel == "sharp":
+        taps = _sharp_taps(2 ** (J + 1) if radius is None else radius)
+    else:
+        raise ValueError("kernel must be 'partition' or 'sharp'")
     acc = np.zeros(ring_size)
-    for lam in grid.points:
-        if kernel == "partition":
-            ker = _partition_kernel_on_ring(lam, d, J, ring_size, fam)
-        elif kernel == "sharp":
-            ker = _sharp_kernel_on_ring(lam, d, radius, ring_size)
-        else:
-            raise ValueError("kernel must be 'partition' or 'sharp'")
-        out = idft(fhat * dft(ker))
+    for out in _modulated_outputs(f, grid.points, taps, d, ring_size):
         np.maximum(acc, np.abs(out), out=acc)
     return Signal(0, acc.astype(complex))
 
@@ -476,12 +485,6 @@ def r_variation_bruteforce(seq: Sequence[complex], r: float) -> float:
     return best
 
 
-def _carleson_lambda_output(ring_f_hat: np.ndarray, lam: float, d: int,
-                            radius: int, ring_size: int) -> np.ndarray:
-    ker = _sharp_kernel_on_ring(lam, d, radius, ring_size)
-    return idft(ring_f_hat * dft(ker))
-
-
 def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
                     grid_per_interval: int, d: int, J: int,
                     ring_size: int) -> float:
@@ -495,6 +498,8 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
     """
     if grid_per_interval < 1:
         raise ValueError("grid_per_interval must be >= 1")
+    g = grid_per_interval
+    lams = []
     prev_lo = None
     for lo, hi, anchor in intervals:
         if not (0.0 <= lo < hi and lo < anchor <= hi):
@@ -502,16 +507,17 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
         if prev_lo is not None and hi > prev_lo:
             raise ValueError("intervals must be decreasing and disjoint")
         prev_lo = lo
-    radius = min(2 ** (J + 1), ring_size // 4)
-    fhat = dft(_embed_on_ring(f, ring_size))
+        # each interval is one pass over [anchor, grid...]
+        lams.append(anchor)
+        lams += [hi * (lo / hi) ** (t / g) if lo > 0 else hi * 0.5 ** t
+                 for t in range(g)]
+    taps = _sharp_taps(min(2 ** (J + 1), ring_size // 4))
+    outputs = _modulated_outputs(f, lams, taps, d, ring_size)
     total = 0.0
-    for lo, hi, anchor in intervals:
-        base = _carleson_lambda_output(fhat, anchor, d, radius, ring_size)
+    for _ in intervals:
+        base = next(outputs)
         sup = np.zeros(ring_size)
-        g = grid_per_interval
-        for t in range(g):
-            lam = hi * (lo / hi) ** (t / g) if lo > 0 else hi * 0.5 ** t
-            out = _carleson_lambda_output(fhat, lam, d, radius, ring_size)
-            np.maximum(sup, np.abs(out - base), out=sup)
+        for _ in range(g):
+            np.maximum(sup, np.abs(next(outputs) - base), out=sup)
         total += float((sup ** 2).sum())
     return total

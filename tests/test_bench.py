@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from modhilb.bench import (EXPERIMENTS, ExperimentConfig, RNG_ALGORITHM,
-                           SCHEMA_VERSION, ergodic_demo, make_rng, run)
-from modhilb.spectral import Signal
+                           SCHEMA_VERSION, make_rng, run)
 
 
 class TestConfig:
@@ -117,39 +116,6 @@ class TestMakeRng:
         c = make_rng(3, 0).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
-
-
-class TestErgodicDemo:
-    def test_constant_input_annihilated(self, tmp_path):
-        N = 256
-        f = Signal(0, np.ones(N))
-        rep = ergodic_demo(N, f, [2, 3, 4], 2, 2, str(tmp_path))
-        assert all(r["increment"] < 1e-10 for r in rep.rows)
-        assert rep.summary["oscillation_sum"] < 1e-18
-
-    def test_single_entry_schedule(self, tmp_path):
-        f = Signal(0, np.ones(64))
-        rep = ergodic_demo(64, f, [3], 2, 2, str(tmp_path))
-        assert rep.rows == []
-
-    def test_schedule_validation(self, tmp_path):
-        f = Signal(0, np.ones(64))
-        with pytest.raises(ValueError):
-            ergodic_demo(64, f, [4, 3], 2, 2, str(tmp_path))
-        with pytest.raises(ValueError):
-            ergodic_demo(64, f, [1, 600], 2, 2, str(tmp_path))
-
-    def test_random_increments_eventually_decrease(self, tmp_path):
-        rng = make_rng(21)
-        N = 1024
-        vals = rng.standard_normal(N)
-        f = Signal(0, vals - vals.mean())
-        sched = list(range(1, 9))
-        rep = ergodic_demo(N, f, sched, 2, 2, str(tmp_path))
-        inc = np.array([r["increment"] for r in rep.rows])
-        smooth = np.convolve(inc, np.ones(3) / 3.0, mode="valid")
-        tail = smooth[len(smooth) // 2:]
-        assert np.all(np.diff(tail) < 0)
 
 
 class TestCli:

@@ -10,7 +10,8 @@ from modhilb.circle import (ApproxParams, L_j, L_js, L_js_full_enumeration,
                             major_box_error_scan, restricted_sup_outside_Xj)
 from modhilb.farey import xset_contains
 from modhilb.osc import H_j
-from modhilb.spectral import LambdaGrid, Signal
+from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
+                              multiplier_Mj)
 from modhilb.weyl import WeylTriple, complete_weyl_sum
 
 
@@ -176,8 +177,27 @@ class TestRestrictedSup:
         from modhilb.osc import psi_j
 
         j = 6
-        grid = LambdaGrid(tuple(np.linspace(0.31, 0.49, 8)))
+        # near 0 the grid lies outside X_6, so the sup is not vacuous
+        grid = LambdaGrid(tuple(np.linspace(0.009, 0.019, 8)))
         val = restricted_sup_outside_Xj(Signal.delta(0), j, grid, P2, 512)
+        assert val > 0.0
         l2_bound = math.sqrt(512) * sum(
             abs(psi_j(float(m), j)) for m in range(-2 ** (j + 1), 2 ** (j + 1) + 1))
         assert val <= l2_bound
+
+    def test_matches_block_multiplier_outside_xj(self):
+        # l2 norm of the pointwise max, over the lambdas outside X_j, of
+        # |M_j(lam, .) applied to f|, normalized by |f|
+        j, N = 6, 512
+        rng = np.random.Generator(np.random.Philox(17))
+        f = Signal(0, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        lams = (0.01, 0.018, 0.5)
+        kept = [lam for lam in lams if not xset_contains(lam, P2.xset(j))]
+        assert kept == [0.01, 0.018]
+        outs = [np.abs(apply_multiplier(
+            f, lambda betas, lam=lam: np.array(
+                [multiplier_Mj(lam, b, j, P2.d, P2.fam) for b in betas]),
+            N).values) for lam in kept]
+        expect = np.linalg.norm(np.maximum(*outs)) / f.norm2()
+        val = restricted_sup_outside_Xj(f, j, LambdaGrid(lams), P2, N)
+        assert val == pytest.approx(expect, rel=1e-12)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhilb.farey import (MajorBox, ReducedFraction, XSet, dirichlet_approx,
-                           dirichlet_approx_bruteforce, divisors, dyadic_width,
-                           farey_level, in_major_box, mobius, mobius_sieve,
-                           reduce, torus_distance, xset_contains)
+                           dirichlet_approx_bruteforce, dyadic_width,
+                           farey_level, in_major_box, reduce, torus_distance,
+                           xset_contains)
 
 
 class TestReduce:
@@ -188,34 +188,3 @@ class TestTorusDistance:
         dist = torus_distance(x, y)
         assert 0.0 <= dist <= 0.5
         assert dist == torus_distance(y, x)
-
-
-class TestMobiusDivisors:
-    def test_mobius_small(self):
-        assert mobius(1) == 1
-        assert mobius(4) == 0
-        assert mobius(6) == 1
-
-    def test_mobius_matches_sieve(self):
-        mu = mobius_sieve(500)
-        for n in range(1, 501):
-            assert mobius(n) == mu[n]
-
-    def test_mobius_inversion_identity(self):
-        for n in range(1, 10_001, 7):
-            total = sum(mobius(d) for d in divisors(n))
-            assert total == (1 if n == 1 else 0)
-
-    def test_divisors_small(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-    def test_divisor_count_360(self):
-        # direct factorization oracle: 360 = 2^3 3^2 5 -> 4*3*2 = 24
-        assert len(divisors(360)) == 24
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            mobius(0)
-        with pytest.raises(ValueError):
-            divisors(0)

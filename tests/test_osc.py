@@ -501,6 +501,33 @@ class TestLevinAgainstGaussKronrod:
         assert est.shape == (1,) and np.all(np.isfinite(est))
 
 
+class TestBudgetEstimates:
+    """QuadratureError.estimate approximates the quantity the call returns."""
+
+    def test_h_j_estimate_sums_both_halves(self):
+        # psi is odd and the phase even, so the halves of supp psi cancel:
+        # H_j is ~1e-15 while either half alone is ~2e-7
+        with pytest.raises(QuadratureError) as exc:
+            H_j(20 / 2 ** 12, 0.0, 6, 2, tol=1e-15, panel_budget=30)
+        assert np.abs(exc.value.estimate).max() < 1e-12
+
+    def test_g_hat_estimate_carries_zeta(self):
+        d, k, l = 2, 5, 4
+        ctx = PhaseContext(d, k, l, 1.3 * math.ldexp(1.0, l - d * k))
+        xi = math.ldexp(0.09, l - k)
+        assert 0.3 < DEFAULT_BUMPS.zeta(math.ldexp(xi, k - l)) < 0.4
+        ref = G_hat_direct(xi, ctx, tol=1e-13)
+        with pytest.raises(QuadratureError) as exc:
+            G_hat_direct(xi, ctx, tol=0.0, panel_budget=1000)
+        assert abs(exc.value.estimate[0] - ref) < 1e-6 * abs(ref)
+
+    def test_mu_bar_estimate_carries_its_factor(self):
+        ref = mu_bar(0.3, 3, 2, 2, tol=1e-12)
+        with pytest.raises(QuadratureError) as exc:
+            mu_bar(0.3, 3, 2, 2, tol=0.0)
+        assert abs(exc.value.estimate[0] - ref) < 1e-9 * abs(ref)
+
+
 class TestPhaseVariation:
     @pytest.mark.parametrize("X, Y, d", [
         (500.0, -1300.0, 2),    # critical point 1.3 inside [1/2, 2]

@@ -246,6 +246,19 @@ class TestCarleson:
         slow = carleson_direct_oracle(f, grid, 2, 2 ** (J + 1), N)
         assert np.allclose(fast.values, slow.values, atol=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_partition_matches_symbol_at_one_lambda(self, d):
+        # the partition kernel is the spatial form of multiplier_M
+        N, J, lam = 256, 5, 0.37
+        rng = np.random.Generator(np.random.Philox(15))
+        f = Signal(3, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        out = carleson_apply(f, LambdaGrid((lam,)), d, J, N)
+        symbol = apply_multiplier(
+            f, lambda betas: np.array([multiplier_M(lam, b, d, J)
+                                       for b in betas]), N)
+        assert not out.values.imag.any()
+        assert np.allclose(out.values.real, np.abs(symbol.values), atol=1e-10)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             carleson_direct_oracle(Signal.delta(0), LambdaGrid(()), 2, 8, 64)
@@ -378,6 +391,27 @@ class TestOscillationSum:
         f = Signal(0, rng.standard_normal(8) + 0j)
         val = oscillation_sum(f, [(0.25, 0.5, 0.5)], 1, 2, 5, 64)
         assert val < 1e-20
+
+    def test_constant_input_annihilated(self):
+        # for d even the kernel e(-lam m^d)/m is odd in m, so it sums to
+        # zero and every C_lam maps a constant on the ring to 0
+        N = 256
+        f = Signal(0, np.ones(N))
+        intervals = [(2.0 ** -6, 2.0 ** -4, 2.0 ** -4),
+                     (2.0 ** -8, 2.0 ** -6, 2.0 ** -6)]
+        assert oscillation_sum(f, intervals, 2, 2, 10, N) < 1e-18
+
+    def test_oscillation_falls_along_the_dyadic_schedule(self):
+        # C_lam f converges as lam -> 0: the oscillation over each
+        # interval (2^(-2(j+1)), 2^(-2j)] falls as j grows
+        N = 1024
+        rng = np.random.Generator(np.random.Philox(21))
+        vals = rng.standard_normal(N)
+        f = Signal(0, vals - vals.mean())
+        sums = [oscillation_sum(f, [(2.0 ** (-2 * j - 2), 2.0 ** (-2 * j),
+                                     2.0 ** (-2 * j))], 2, 2, 10, N)
+                for j in range(1, 8)]
+        assert np.all(np.diff(sums) < 0)
 
     def test_malformed_intervals_rejected(self):
         f = Signal(0, np.ones(4))
