@@ -420,3 +420,18 @@ class TestOscillationSum:
         with pytest.raises(ValueError):
             oscillation_sum(f, [(0.125, 0.25, 0.25), (0.25, 0.5, 0.5)], 2, 2,
                             5, 64)
+
+    def test_schedule_validation(self):
+        # the dyadic schedule lam = 2^(-d j) must run toward 0 in disjoint
+        # intervals, each sampled by at least one grid point
+        f = Signal(0, np.ones(64))
+        dyadic = [(2.0 ** -8, 2.0 ** -6, 2.0 ** -6),
+                  (2.0 ** -10, 2.0 ** -8, 2.0 ** -8)]
+        assert oscillation_sum(f, dyadic, 2, 2, 5, 64) < 1e-18
+        with pytest.raises(ValueError):
+            oscillation_sum(f, dyadic[::-1], 2, 2, 5, 64)
+        with pytest.raises(ValueError):
+            oscillation_sum(f, [(2.0 ** -8, 2.0 ** -6, 2.0 ** -6),
+                                (2.0 ** -9, 2.0 ** -7, 2.0 ** -7)], 2, 2, 5, 64)
+        with pytest.raises(ValueError):
+            oscillation_sum(f, dyadic, 0, 2, 5, 64)
