@@ -2,13 +2,14 @@
 
 Subpackages:
 
-- farey     exact rational and Diophantine machinery
-- weyl      complete and incomplete Weyl/Gauss sums and their identities
-- osc       bump families, oscillatory quadrature, stationary phase
+- farey     reduced fractions, Dirichlet approximation, the X_j sets
+- weyl      complete Weyl/Gauss sums and their identities
+- osc       bump families, oscillatory quadrature, stationary phase,
+            the square function
 - spectral  finite-signal engine: DFT multipliers, the maximal operator,
-            TT* kernels, variation and oscillation functionals
+            the TT* frequency factor, variation and oscillation functionals
 - circle    circle-method approximants and error-decay harnesses
-- bench     CLI experiment harness with reproducible reports
+- bench     experiments declared by their signatures, reproducible reports
 """
 
 __version__ = "0.1.0"

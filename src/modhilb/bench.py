@@ -1,19 +1,24 @@
 """Experiment harness: named experiments, configs, deterministic reports.
 
-Each experiment binds module operations together, draws any randomness
-from a counter-based Philox generator keyed by the configured seed, and
-emits a CSV table plus a JSON summary.  Re-running an identical config
-reproduces the CSV byte for byte.
+Each experiment is one function whose keyword-only parameters declare it:
+their names are the config keys, their defaults the default values and
+their annotations the types; a parameter without a default (the seed of
+a randomized experiment) is required.  An experiment binds module
+operations together, draws any randomness from a counter-based Philox
+generator keyed by the configured seed, and emits a CSV table plus a
+JSON summary whose "params" are the complete resolved config.
+Re-running an identical config reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional, get_args, get_origin
 
 import numpy as np
 
@@ -36,30 +41,57 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cast(key: str, value, kind):
+    """value as the annotated type: int, float, str or tuple[T, ...]."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r}: {value!r} is not a list")
+        return tuple(_cast(key, v, get_args(kind)[0]) for v in value)
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and out != value):
+        raise ValueError(f"config key {key!r}: {value!r} is not a valid "
+                         f"{kind.__name__}")
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
     params: dict
     output_path: str = "."
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """The params bound to the experiment's signature, defaults applied
+        and values cast to the annotated types."""
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        spec = EXPERIMENTS[self.experiment]
-        unknown = set(self.params) - set(spec.allowed_keys)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if spec.randomized and "seed" not in self.params:
-            raise ValueError(f"experiment {self.experiment!r} requires a seed")
+        sig = inspect.signature(EXPERIMENTS[self.experiment], eval_str=True)
+        try:
+            bound = sig.bind(**self.params)
+        except TypeError as exc:
+            raise ValueError(f"experiment {self.experiment!r}: {exc}") from None
+        bound.apply_defaults()
+        return {key: _cast(key, value, sig.parameters[key].annotation)
+                for key, value in bound.arguments.items()}
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         version = raw.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        return cls(experiment=raw["experiment"], params=raw.get("params", {}),
+        if not isinstance(raw.get("experiment"), str):
+            raise ValueError('config field "experiment" must be a string')
+        params = raw.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError('config field "params" must be an object')
+        return cls(experiment=raw["experiment"], params=params,
                    output_path=raw.get("output_path", "."))
 
 
@@ -96,13 +128,6 @@ class ExperimentReport:
         return csv_path, json_path
 
 
-@dataclass(frozen=True)
-class _ExperimentSpec:
-    func: Callable
-    allowed_keys: tuple
-    randomized: bool
-
-
 def _random_signal(rng: np.random.Generator, width: int, offset: int = 0,
                    mean_zero: bool = False, unit: bool = False) -> spectral.Signal:
     vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
@@ -116,33 +141,27 @@ def _random_signal(rng: np.random.Generator, width: int, offset: int = 0,
 # ---------------------------------------------------------------------------
 # experiment bodies; each returns (rows, summary, passed)
 
-def _exp_weyl_scan(params):
-    q_max = int(params.get("q_max", 60))
-    ds = params.get("d_list", [int(params.get("d", 2))])
+def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
     rows, worst = [], 0.0
-    for d in ds:
-        rep = weyl.weyl_orthogonality_scan(q_max, int(d))
+    for d in d_list:
+        rep = weyl.weyl_orthogonality_scan(q_max, d)
         rows.append({"d": d, "q_max": q_max, "cases": rep["count"],
                      "max_abs": rep["max_abs"]})
         worst = max(worst, rep["max_abs"])
     return rows, {"max_abs": worst, "threshold": 1e-12}, worst < 1e-12
 
 
-def _exp_hua_fit(params):
-    q_max = int(params.get("q_max", 200))
-    d = int(params.get("d", 2))
+def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
     slope, const = weyl.hua_exponent_fit(q_max, d)
     rows = [{"d": d, "q_max": q_max, "fitted_exponent": slope,
              "max_constant": const}]
     return rows, {"fitted_exponent": slope, "threshold": -0.4}, slope <= -0.4
 
 
-def _exp_kernel_identity(params):
-    q_max = int(params.get("q_max", 40))
-    ds = params.get("d_list", [int(params.get("d", 2))])
+def _exp_kernel_identity(*, q_max: int = 40, d_list: tuple[int, ...] = (2,)):
     rows = []
     worst_diff = worst_mod = 0.0
-    for d in ds:
+    for d in d_list:
         for q in range(1, q_max + 1):
             max_diff = max_mod = 0.0
             for a in range(q):
@@ -150,7 +169,7 @@ def _exp_kernel_identity(params):
                     continue
                 for x in range(q):
                     lhs, rhs = weyl.weyl_kernel_identity(
-                        farey.ReducedFraction(a, q), int(d), x)
+                        farey.ReducedFraction(a, q), d, x)
                     max_diff = max(max_diff, abs(lhs - rhs))
                     max_mod = max(max_mod, abs(abs(rhs) - 1.0))
             rows.append({"d": d, "q": q, "max_abs_diff": max_diff,
@@ -162,26 +181,22 @@ def _exp_kernel_identity(params):
     return rows, summary, worst_diff < 1e-10 and worst_mod < 1e-10
 
 
-def _circle_params(params, default_smoothness: int = 4) -> circle.ApproxParams:
-    d = int(params.get("d", 2))
-    fam = osc.BumpFamily(
-        d=d, smoothness_order=int(params.get("smoothness", default_smoothness)))
-    return circle.ApproxParams(
-        d=d,
-        epsilon=float(params.get("epsilon", 0.1)),
-        kappa=float(params.get("kappa", 0.05)),
-        exponent_C=float(params.get("C", 2.0)),
-        fam=fam)
+def _circle_params(d: int, epsilon: float, kappa: float, C: float,
+                   smoothness: int) -> circle.ApproxParams:
+    fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
+    return circle.ApproxParams(d=d, epsilon=epsilon, kappa=kappa,
+                               exponent_C=C, fam=fam)
 
 
-def _exp_major_arc_error(params):
+def _exp_major_arc_error(*, seed: int, j_min: int = 8, j_max: int = 14,
+                         d: int = 2, epsilon: float = 0.1, kappa: float = 0.05,
+                         C: float = 2.0, Q_max: int = 3,
+                         samples_per_box: int = 6, smoothness: int = 2):
     # the C2 family leaves the discretization error visible above the
     # double-precision floor, so the decay slope is measurable
-    p = _circle_params(params, default_smoothness=2)
-    j_range = range(int(params.get("j_min", 8)), int(params.get("j_max", 14)) + 1)
-    rep = circle.major_box_error_sweep(
-        list(j_range), p, int(params.get("Q_max", 3)),
-        int(params.get("samples_per_box", 6)), seed=int(params["seed"]))
+    p = _circle_params(d, epsilon, kappa, C, smoothness)
+    rep = circle.major_box_error_sweep(list(range(j_min, j_max + 1)), p, Q_max,
+                                       samples_per_box, seed=seed)
     rows = [{"j": j, "sup_error": s}
             for j, s in zip(rep["j_range"], rep["sup_errors"])]
     summary = {"mean_log2_step": rep["mean_log2_step"],
@@ -189,12 +204,12 @@ def _exp_major_arc_error(params):
     return rows, summary, rep["mean_log2_step"] <= -0.5
 
 
-def _exp_ej_decay(params):
-    p = _circle_params(params)
-    j_range = list(range(int(params.get("j_min", 8)),
-                         int(params.get("j_max", 14)) + 1))
-    rep = circle.ej_decay_scan(j_range, p, int(params.get("samples", 40)),
-                               seed=int(params["seed"]))
+def _exp_ej_decay(*, seed: int, j_min: int = 8, j_max: int = 14, d: int = 2,
+                  epsilon: float = 0.1, kappa: float = 0.05, C: float = 2.0,
+                  samples: int = 40, smoothness: int = 4):
+    p = _circle_params(d, epsilon, kappa, C, smoothness)
+    rep = circle.ej_decay_scan(list(range(j_min, j_max + 1)), p, samples,
+                               seed=seed)
     rows = [{"j": j, "sup_error": s}
             for j, s in zip(rep["j_range"], rep["sup_errors"])]
     summary = {"monotone_decreasing": rep["monotone_decreasing"],
@@ -203,20 +218,17 @@ def _exp_ej_decay(params):
     return rows, summary, rep["monotone_decreasing"]
 
 
-def _exp_xj_restricted(params):
-    p = _circle_params(params)
-    j_lo = int(params.get("j_lo", 6))
-    j_hi = int(params.get("j_hi", 12))
-    n_seeds = int(params.get("n_seeds", 5))
-    # X_j at small j covers most of the torus; the grid must be dense
-    # enough that some lambdas land outside it
-    n_lams = int(params.get("n_lams", 256))
-    N = int(params.get("N", 4096))
-    base_seed = int(params["seed"])
+def _exp_xj_restricted(*, seed: int, j_lo: int = 6, j_hi: int = 12,
+                       d: int = 2, epsilon: float = 0.1, kappa: float = 0.05,
+                       C: float = 2.0, n_seeds: int = 5, n_lams: int = 256,
+                       N: int = 4096, smoothness: int = 4):
+    # X_j at small j covers most of the torus; the grid (n_lams) must be
+    # dense enough that some lambdas land outside it
+    p = _circle_params(d, epsilon, kappa, C, smoothness)
     rows = []
     ok = True
     for t in range(n_seeds):
-        rng = make_rng(base_seed, stream=t)
+        rng = make_rng(seed, stream=t)
         f = _random_signal(rng, N // 4, unit=True)
         lams = np.sort(rng.uniform(0.0, 1.0, n_lams))
         grid = spectral.LambdaGrid(tuple(lams), provenance="explicit")
@@ -228,39 +240,32 @@ def _exp_xj_restricted(params):
     return rows, {"all_decreasing": ok}, ok
 
 
-def _exp_carleson(params):
-    N = int(params.get("N", 512))
-    J = int(params.get("J", 6))
-    d = int(params.get("d", 2))
-    n_grid = int(params.get("grid_size", 32))
-    source = params.get("input", "delta")
-    if source == "delta":
+def _exp_carleson(*, N: int = 512, J: int = 6, d: int = 2, grid_size: int = 32,
+                  input: str = "delta", seed: int = 0):
+    # seed draws the random input; the delta input uses no randomness
+    if input == "delta":
         f = spectral.Signal.delta(0)
     else:
-        rng = make_rng(int(params["seed"]))
-        f = _random_signal(rng, N // 4)
-    grid = spectral.LambdaGrid(tuple(np.linspace(0.0, 0.9, n_grid)))
+        f = _random_signal(make_rng(seed), N // 4)
+    grid = spectral.LambdaGrid(tuple(np.linspace(0.0, 0.9, grid_size)))
     out = spectral.carleson_apply(f, grid, d, J, N)
     rows = [{"x": x, "value": float(out.values[x].real)} for x in range(N)]
     passed = True
-    if source == "delta":
+    if input == "delta":
         radius = min(2 ** J, N // 2 - 1)
         for x in range(1, radius + 1):
             passed = passed and abs(out.values[x].real - 1.0 / x) < 1e-9
             passed = passed and abs(out.values[N - x].real - 1.0 / x) < 1e-9
         passed = passed and abs(out.values[0]) < 1e-9
-    return rows, {"N": N, "J": J, "delta_pattern_checked": source == "delta"}, passed
+    return rows, {"N": N, "J": J, "delta_pattern_checked": input == "delta"}, passed
 
 
-def _exp_stationary_phase(params):
-    d = int(params.get("d", 2))
-    k = int(params.get("k", 40))
-    tol = float(params.get("tol", 1e-8))
+def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
+                          tol: float = 1e-8, l_min: int = 8, l_max: int = 14,
+                          n_xi: int = 50):
     budget = 2 ** 21
-    l_fit = list(range(int(params.get("l_min", 8)),
-                       int(params.get("l_max", 14)) + 1))
-    n_xi = int(params.get("n_xi", 50))
-    rng = make_rng(int(params["seed"]))
+    l_fit = list(range(l_min, l_max + 1))
+    rng = make_rng(seed)
     fam = osc.BumpFamily(d=d)
     rows = []
     worst_recon = 0.0
@@ -308,26 +313,22 @@ def _exp_stationary_phase(params):
     return rows, summary, passed
 
 
-def _exp_square_function(params):
-    d = int(params.get("d", 2))
-    rng = make_rng(int(params["seed"]))
+def _exp_square_function(*, seed: int, d: int = 2, l: int = 2, k_min: int = 2,
+                         k_max: int = 3):
+    rng = make_rng(seed)
     f = _random_signal(rng, 8)
-    l = int(params.get("l", 2))
-    k_range = (int(params.get("k_min", 2)), int(params.get("k_max", 3)))
-    out1 = osc.square_function_S_G(f, l, k_range, 4, d)
+    out1 = osc.square_function_S_G(f, l, (k_min, k_max), 4, d)
     out2 = osc.square_function_S_G(
-        spectral.Signal(f.offset, 2.0 * f.values), l, k_range, 4, d)
+        spectral.Signal(f.offset, 2.0 * f.values), l, (k_min, k_max), 4, d)
     dev = float(np.abs(out2.values - 2.0 * out1.values).max())
     rows = [{"x": x, "S_G": float(out1.values[x].real)}
             for x in range(len(out1.values))]
     return rows, {"homogeneity_dev": dev}, dev < 1e-8
 
 
-def _exp_ttstar(params):
-    s_values = params.get("s_list", [3, 4, 5])
-    rep = spectral.ttstar_ratio_scan(
-        [int(s) for s in s_values], int(params.get("d", 2)),
-        n_pairs=int(params.get("n_pairs", 40)), seed=int(params["seed"]))
+def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
+                n_pairs: int = 40):
+    rep = spectral.ttstar_ratio_scan(s_list, d, n_pairs=n_pairs, seed=seed)
     ratios = rep["max_ratio"]
     rows = [{"s": s, "max_ratio": ratios[s]} for s in sorted(ratios)]
     vals = [ratios[s] for s in sorted(ratios)]
@@ -335,29 +336,13 @@ def _exp_ttstar(params):
     return rows, {"max_ratio": ratios, "strictly_decreasing": decreasing}, decreasing
 
 
-def _dyadic_schedule(J: int, d: int) -> list[tuple[float, float, float]]:
-    """Intervals (2^(-d j_(i+1)), 2^(-d j_i)] with anchors at the right edge."""
-    sched = list(range(1, J + 2))
-    intervals = []
-    for i in range(J):
-        hi = math.ldexp(1.0, -d * sched[i])
-        lo = math.ldexp(1.0, -d * sched[i + 1])
-        intervals.append((lo, hi, hi))
-    return intervals
-
-
-def _exp_ergodic(params):
-    N = int(params.get("N", 2 ** 12))
-    d = int(params.get("d", 2))
-    J_list = [int(j) for j in params.get("J_list", [4, 8, 16, 32])]
-    n_seeds = int(params.get("n_seeds", 5))
-    g = int(params.get("grid_per_interval", 4))
-    base_seed = int(params["seed"])
-    J_big = int(params.get("J_mult", 10))
+def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
+                 J_list: tuple[int, ...] = (4, 8, 16, 32), n_seeds: int = 5,
+                 grid_per_interval: int = 4, J_mult: int = 10):
     rows = []
     exponents = []
     for t in range(n_seeds):
-        rng = make_rng(base_seed, stream=t)
+        rng = make_rng(seed, stream=t)
         f = _random_signal(rng, N, mean_zero=True, unit=True)
         sums = []
         for J in J_list:
@@ -367,7 +352,8 @@ def _exp_ergodic(params):
             hi, lo = 0.25, math.ldexp(1.0, -20)
             edges = [hi * (lo / hi) ** (i / J) for i in range(J + 1)]
             intervals = [(edges[i + 1], edges[i], edges[i]) for i in range(J)]
-            val = spectral.oscillation_sum(f, intervals, g, d, J_big, N)
+            val = spectral.oscillation_sum(f, intervals, grid_per_interval, d,
+                                           J_mult, N)
             sums.append(val)
             rows.append({"seed_stream": t, "J": J, "oscillation_sum": val})
         expo = float(np.polyfit(np.log(np.array(J_list, dtype=float)),
@@ -379,17 +365,15 @@ def _exp_ergodic(params):
                   "threshold": 0.9}, worst < 0.9
 
 
-def _exp_variation(params):
-    n_max = int(params.get("n_max", 8))
-    r_list = params.get("r_list", [1.0, 2.0, 3.0, math.inf])
+def _exp_variation(*, n_max: int = 8,
+                   r_list: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf)):
     worst = 0.0
     rows = []
     for n in range(2, n_max + 1):
         seqs = np.array(np.meshgrid(*([[-1, 0, 1]] * n),
                                     indexing="ij")).reshape(n, -1).T
         for r in r_list:
-            r = float(r)
-            brute = _variation_enumerated(seqs, r)
+            brute = spectral.r_variation_bruteforce(seqs, r)
             dp = np.array([spectral.r_variation(s, r) for s in seqs])
             dev = float(np.abs(brute - dp).max())
             worst = max(worst, dev)
@@ -397,64 +381,31 @@ def _exp_variation(params):
     return rows, {"max_abs_diff": worst}, worst < 1e-12
 
 
-def _variation_enumerated(seqs: np.ndarray, r: float) -> np.ndarray:
-    """Vectorized exhaustive r-variation over rows of seqs (oracle)."""
-    n = seqs.shape[1]
-    best = np.zeros(len(seqs))
-    for mask in range(1, 2 ** n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if len(idx) < 2:
-            continue
-        sub = seqs[:, idx].astype(float)
-        diffs = np.abs(np.diff(sub, axis=1))
-        if math.isinf(r):
-            vals = diffs.max(axis=1)
-        else:
-            vals = (diffs ** r).sum(axis=1) ** (1.0 / r)
-        np.maximum(best, vals, out=best)
-    return best
-
-
 EXPERIMENTS = {
-    "weyl-scan": _ExperimentSpec(_exp_weyl_scan, ("q_max", "d", "d_list"), False),
-    "hua-fit": _ExperimentSpec(_exp_hua_fit, ("q_max", "d"), False),
-    "kernel-identity": _ExperimentSpec(_exp_kernel_identity,
-                                       ("q_max", "d", "d_list"), False),
-    "major-arc-error": _ExperimentSpec(
-        _exp_major_arc_error,
-        ("j_min", "j_max", "d", "epsilon", "kappa", "C", "Q_max",
-         "samples_per_box", "smoothness", "seed"), True),
-    "ej-decay": _ExperimentSpec(
-        _exp_ej_decay,
-        ("j_min", "j_max", "d", "epsilon", "kappa", "C", "samples", "smoothness",
-         "seed"), True),
-    "xj-restricted": _ExperimentSpec(
-        _exp_xj_restricted,
-        ("j_lo", "j_hi", "d", "epsilon", "kappa", "C", "n_seeds", "n_lams",
-         "N", "smoothness", "seed"), True),
-    "carleson": _ExperimentSpec(
-        _exp_carleson, ("N", "J", "d", "grid_size", "input", "seed"), False),
-    "stationary-phase": _ExperimentSpec(
-        _exp_stationary_phase,
-        ("d", "k", "tol", "l_min", "l_max", "n_xi", "seed"),
-        True),
-    "square-function": _ExperimentSpec(
-        _exp_square_function, ("d", "l", "k_min", "k_max", "seed"), True),
-    "ttstar": _ExperimentSpec(_exp_ttstar, ("s_list", "d", "n_pairs", "seed"),
-                              True),
-    "ergodic": _ExperimentSpec(
-        _exp_ergodic,
-        ("N", "d", "J_list", "n_seeds", "grid_per_interval", "J_mult", "seed"),
-        True),
-    "variation": _ExperimentSpec(_exp_variation, ("n_max", "r_list"), False),
+    "weyl-scan": _exp_weyl_scan,
+    "hua-fit": _exp_hua_fit,
+    "kernel-identity": _exp_kernel_identity,
+    "major-arc-error": _exp_major_arc_error,
+    "ej-decay": _exp_ej_decay,
+    "xj-restricted": _exp_xj_restricted,
+    "carleson": _exp_carleson,
+    "stationary-phase": _exp_stationary_phase,
+    "square-function": _exp_square_function,
+    "ttstar": _exp_ttstar,
+    "ergodic": _exp_ergodic,
+    "variation": _exp_variation,
 }
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Validate, dispatch, and write the report files."""
-    config.validate()
-    spec = EXPERIMENTS[config.experiment]
-    rows, summary, passed = spec.func(config.params)
-    report = ExperimentReport(config, rows, summary, passed)
+    """Validate, dispatch, and write the report files.
+
+    The report's params are the resolved ones, so its summary.json is a
+    complete config that reproduces the run.
+    """
+    params = config.validate()
+    rows, summary, passed = EXPERIMENTS[config.experiment](**params)
+    report = ExperimentReport(replace(config, params=params),
+                              rows, summary, passed)
     report.write()
     return report

@@ -1,8 +1,8 @@
 """Bump families and oscillatory-integral evaluation.
 
-Concrete realizations of the cutoffs (eta, psi, Theta, chi, zeta), the
-continuous multiplier block H_j, the slab integrals mu and mu_bar, and
-the stationary-phase split of the windowed oscillatory symbol G.
+Concrete realizations of the cutoffs (eta, psi, chi, zeta, xi0), the
+continuous multiplier block H_j, the windowed oscillatory symbol G with
+its stationary-phase split, and the square function built from G.
 
 The base cutoff eta is a polynomial smoothstep (default degree 9, C^4):
 eta = 1 on [-1,1], 0 outside [-2,2], monotone on the transition bands.
@@ -48,15 +48,12 @@ class BumpFamily:
     Members (all even unless noted):
 
     - eta:   1 on [-1,1], 0 outside [-2,2]
-    - w:     eta(x) - eta(2x), an annular window on 1/2 <= |x| <= 2
-    - psi:   w(t)/t, odd, supported on 1/2 <= |t| <= 2
-    - theta: annular partition unit, sum_j theta(2^j xi) = 1 for xi != 0
+    - psi:   (eta(t) - eta(2t))/t, odd, supported on 1/2 <= |t| <= 2;
+             theta(t) = t psi(t) is an annular partition unit,
+             sum_j theta(2^j t) = 1 for t != 0
     - chi:   1 on |xi| <= c_chi, 0 outside |xi| <= 2*c_chi
     - zeta:  fat annulus, 1 on 1/8 <= |xi| <= 8, supported in [1/16, 16]
     - xi0:   narrow bump of radius 1/(4d) around 0 (critical-point excision)
-
-    plus the overline variants theta_bar, chi_bar, zeta_bar, each equal
-    to one on the support of its base member.
     """
 
     def __init__(self, d: int = 2, smoothness_order: int = 4,
@@ -95,14 +92,9 @@ class BumpFamily:
         res = 1.0 - self._smoothstep(np.abs(arr) - 1.0)
         return float(res) if arr.ndim == 0 else res
 
-    def w(self, x):
-        arr = np.asarray(x, dtype=float)
-        res = np.asarray(self.eta(arr)) - np.asarray(self.eta(2.0 * arr))
-        return float(res) if arr.ndim == 0 else res
-
     def psi(self, t):
-        # fused form of w(t)/t: both smoothsteps clip to zero for
-        # |t| <= 1/2, so the quotient needs no support bookkeeping
+        # fused form of (eta(t) - eta(2t))/t: both smoothsteps clip to
+        # zero for |t| <= 1/2, so the quotient needs no support bookkeeping
         arr = np.asarray(t, dtype=float)
         a = np.abs(arr)
         num = self._smoothstep(2.0 * a - 1.0)
@@ -110,32 +102,14 @@ class BumpFamily:
         res = np.divide(num, arr, out=np.zeros_like(num), where=arr != 0.0)
         return float(res) if arr.ndim == 0 else res
 
-    def theta(self, xi):
-        return self.w(xi)
-
-    def theta_bar(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        res = np.asarray(self.eta(arr / 2.0)) - np.asarray(self.eta(4.0 * arr))
-        return float(res) if arr.ndim == 0 else res
-
     def chi(self, xi):
         arr = np.asarray(xi, dtype=float)
         res = np.asarray(self.eta(arr / self.c_chi))
         return float(res) if arr.ndim == 0 else res
 
-    def chi_bar(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        res = np.asarray(self.eta(arr / (2.0 * self.c_chi)))
-        return float(res) if arr.ndim == 0 else res
-
     def zeta(self, xi):
         arr = np.asarray(xi, dtype=float)
         res = np.asarray(self.eta(arr / 8.0)) - np.asarray(self.eta(16.0 * arr))
-        return float(res) if arr.ndim == 0 else res
-
-    def zeta_bar(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        res = np.asarray(self.eta(arr / 16.0)) - np.asarray(self.eta(32.0 * arr))
         return float(res) if arr.ndim == 0 else res
 
     def xi0(self, s):
@@ -558,23 +532,6 @@ def H_j(x: float, y: float, j: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
     return complex(_psi_support_quadrature(phase, fam, tol, panel_budget)[0])
 
 
-def mu(lam: float, l: int, k: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
-       tol: float = 1e-10) -> complex:
-    """int e(-lam 2^(kd) t^d) psi(t) dt; |mu| <= C min(2^l, 1) on the slab."""
-    phase = _PolynomialPhase(math.ldexp(float(lam), k * d), 0.0, d)
-    return complex(_psi_support_quadrature(phase, fam, tol, 2 ** 18)[0])
-
-
-def mu_bar(lam: float, l: int, k: int, d: int, fam: BumpFamily = DEFAULT_BUMPS,
-           tol: float = 1e-10) -> complex:
-    """-2 pi i int e(-lam 2^(kd) t^d) t psi(t) dt."""
-    phase = _PolynomialPhase(math.ldexp(float(lam), k * d), 0.0, d)
-    val = _psi_support_quadrature(phase, fam, tol, 2 ** 18,
-                                  weights=lambda t: t[None, :],
-                                  factor=-2j * np.pi)
-    return complex(val[0])
-
-
 # ---------------------------------------------------------------------------
 # phase geometry and the stationary-phase split
 
@@ -621,24 +578,6 @@ def critical_point(xi: float, ctx: PhaseContext) -> list[float]:
         warnings.warn("critical_point: xi = 0 is degenerate; no roots returned")
         return []
     return list(_g_phase(ctx, xi).critical_points)
-
-
-def conjugate_phase_constant(d: int) -> float:
-    """The constant c_d = -((d+1)/d) * d^(-1/(d-1)) in the conjugate phase.
-
-    The local (critical point) part of the split carries the oscillation
-    c_d * lam^(-1/(d-1)) * xi^(d/(d-1)) with the signed-power convention
-    of signed_power.
-    """
-    return -((d + 1.0) / d) * d ** (-1.0 / (d - 1.0))
-
-
-def signed_power(xi: float, d: int) -> float:
-    """xi^(d/(d-1)): signed power for d even, absolute power for d odd."""
-    p = d / (d - 1.0)
-    if d % 2 == 0:
-        return math.copysign(abs(xi) ** p, xi)
-    return abs(xi) ** p
 
 
 def _g_phase(ctx: PhaseContext, xi: float) -> _PolynomialPhase:
@@ -709,28 +648,24 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
 
 def square_function_S_G(f, l: int, k_range: tuple[int, int],
                         lambda_grid_per_slab: int, d: int,
-                        fam: BumpFamily = DEFAULT_BUMPS,
-                        ring_size: Optional[int] = None, tol: float = 1e-8,
-                        derivative: bool = False):
+                        fam: BumpFamily = DEFAULT_BUMPS, tol: float = 1e-8):
     """Discrete square function built from the windowed symbols.
 
     For each k in k_range, integrates |G_lam * f|^2 over the dyadic slab
     of lam values by the trapezoid rule on a lambda grid, weights the
     slab by 2^(dk), sums over k and takes a pointwise square root.
-    Convolutions run on a circular domain of at least 4x the support of
-    f.  With derivative=True the symbol is replaced by its centered
-    difference in lam (the primed square function).
+    Convolutions run on the smallest power-of-two ring of at least 4x
+    the support of f.
     """
     from .spectral import Signal, apply_multiplier
 
     if lambda_grid_per_slab < 1:
         raise ValueError("need at least one grid point per slab")
     k_min, k_max = k_range
-    if ring_size is None:
-        width = max(len(f.values), 1)
-        ring_size = 1
-        while ring_size < 4 * width:
-            ring_size *= 2
+    width = max(len(f.values), 1)
+    ring_size = 1
+    while ring_size < 4 * width:
+        ring_size *= 2
     acc = np.zeros(ring_size)
     for k in range(k_min, k_max + 1):
         slab_lo = math.ldexp(1.0, l - d * k)
@@ -748,23 +683,9 @@ def square_function_S_G(f, l: int, k_range: tuple[int, int],
             lam = min(lam, np.nextafter(slab_hi, 0.0))
             ctx = PhaseContext(d, k, l, lam)
 
-            def symbol(beta, ctx=ctx):
-                beta = np.asarray(beta, dtype=float)
-                xi = beta - np.round(beta)
-                out = np.zeros(xi.shape, dtype=complex)
-                flat_xi = np.atleast_1d(xi.ravel())
-                flat_out = np.atleast_1d(out.ravel())
-                for i, x in enumerate(flat_xi):
-                    if derivative:
-                        h = ctx.lam * 1e-6
-                        lam_p = min(ctx.lam + h, np.nextafter(2 * math.ldexp(1.0, l - d * k), 0))
-                        lam_m = max(ctx.lam - h, math.ldexp(1.0, l - d * k))
-                        up = G_hat_direct(x, PhaseContext(d, k, l, lam_p), fam, tol)
-                        dn = G_hat_direct(x, PhaseContext(d, k, l, lam_m), fam, tol)
-                        flat_out[i] = (up - dn) / (lam_p - lam_m)
-                    else:
-                        flat_out[i] = G_hat_direct(x, ctx, fam, tol)
-                return flat_out.reshape(out.shape)
+            def symbol(betas, ctx=ctx):
+                xi = betas - np.round(betas)
+                return np.array([G_hat_direct(x, ctx, fam, tol) for x in xi])
 
             conv = apply_multiplier(f, symbol, ring_size)
             acc += math.ldexp(1.0, d * k) * wgt * np.abs(conv.values) ** 2

@@ -2,8 +2,9 @@
 
 DFT-based multiplier application on cyclic rings, the block multipliers
 M_j and the truncated symbol M, the maximal modulated-Hilbert operator
-over a modulation grid (with a direct convolution oracle), TT* kernels,
-and the r-variation / oscillation functionals.
+over a modulation grid (with a direct convolution oracle), the
+arithmetic factor of the TT* kernel, and the r-variation (with its
+exhaustive oracle) and oscillation functionals.
 
 Fourier convention: the forward transform uses the kernel e(-beta n), so
 dft agrees with the standard FFT sign.  A Signal returned by a ring
@@ -95,35 +96,6 @@ class LambdaGrid:
         if n < 1:
             raise ValueError("n must be positive")
         return cls(tuple(i / n for i in range(n)), provenance=f"uniform({n})")
-
-    @classmethod
-    def dyadic(cls, j_min: int, j_max: int, per_slab: int) -> "LambdaGrid":
-        pts = set()
-        for j in range(j_min, j_max + 1):
-            lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-            for i in range(per_slab):
-                pts.add(lo + (hi - lo) * i / per_slab)
-        return cls(tuple(sorted(pts)),
-                   provenance=f"dyadic({j_min},{j_max},{per_slab})")
-
-
-@dataclass(frozen=True)
-class TTStarContext:
-    """Scale, degree and the (arbitrary) linearizing functions.
-
-    lam and mu map integers to modulation parameters; for the arithmetic
-    kernel K_s they may return ReducedFraction values directly.
-    """
-
-    scale: int
-    d: int
-    lam: Callable
-    mu: Callable
-
-    def __post_init__(self):
-        if self.scale < 1 or self.d < 2:
-            raise ValueError("invalid TTStarContext")
-
 
 # ---------------------------------------------------------------------------
 # transforms and multiplier application
@@ -310,56 +282,7 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
 
 
 # ---------------------------------------------------------------------------
-# TT* kernels
-
-def ttstar_kernel_Kj(x: int, n: int, ctx: TTStarContext,
-                     fam: BumpFamily = DEFAULT_BUMPS) -> complex:
-    """sum_m psi_j(x-m) psi_j(n-m) e(lam(x)(x-m)^d - mu(n)(n-m)^d)."""
-    j = ctx.scale
-    half = 2 ** (j + 1)
-    m = np.arange(x - half, x + half + 1, dtype=np.int64)
-    wx = psi_j((x - m).astype(float), j, fam)
-    wn = psi_j((n - m).astype(float), j, fam)
-    mask = (wx != 0) & (wn != 0)
-    if not mask.any():
-        return 0j
-    m = m[mask]
-    lam_x = float(ctx.lam(x))
-    mu_n = float(ctx.mu(n))
-    xl = (x - m).astype(np.longdouble)
-    nl = (n - m).astype(np.longdouble)
-    ph = np.longdouble(lam_x) * xl ** ctx.d - np.longdouble(mu_n) * nl ** ctx.d
-    ph = (ph - np.floor(ph)).astype(np.float64)
-    return complex((wx[mask] * wn[mask] * np.exp(2j * np.pi * ph)).sum())
-
-
-def _linearizer_fraction(fn: Callable, point: int, s: int) -> ReducedFraction:
-    v = fn(point)
-    if isinstance(v, ReducedFraction):
-        rf = v
-    else:
-        rf = dirichlet_approx(float(v) % 1.0, 2 ** s - 1)
-    if not (2 ** (s - 1) <= rf.denominator < 2 ** s):
-        raise ValueError(
-            f"linearizer denominator {rf.denominator} outside [2^{s - 1}, 2^{s})")
-    return rf
-
-
-def phi_hat_s(beta, s: int, fam: BumpFamily = DEFAULT_BUMPS):
-    """Smoothstep frequency window supported in |beta| <= 2^(-5s)."""
-    arr = np.asarray(beta, dtype=float)
-    res = np.asarray(fam.eta(arr * 2.0 ** (5 * s + 1)))
-    return float(res) if arr.ndim == 0 else res
-
-
-def _phi_autoconv_on_ring(s: int, ring_size: int,
-                          fam: BumpFamily = DEFAULT_BUMPS) -> np.ndarray:
-    """phi_s * phi_s on the ring, via the squared frequency window."""
-    betas = np.arange(ring_size) / ring_size
-    wrapped = betas - np.round(betas)
-    fh = phi_hat_s(wrapped, s, fam)
-    return idft(np.asarray(fh, dtype=complex) ** 2) * ring_size
-
+# the TT* kernel's arithmetic factor
 
 def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
                             w: int, d: int) -> complex:
@@ -368,8 +291,9 @@ def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
     With Q = gcd(q, q'), this is
         sum_{c mod Q} R(a/q, c/Q) conj(R(a'/q', c/Q)) e(c w / Q),
     where R(a/q, c/Q) is the complete normalized sum at frequency c/Q.
-    The full kernel is this factor times phi_s*phi_s(x-u), so the factor
-    equals the ratio K_s/(phi_s*phi_s) wherever the latter is nonzero.
+    The vanishing of R off divisors and the frequency separation of the
+    smooth windows phi_s collapse the TT* kernel at scale s to this
+    factor times the window autocorrelation phi_s*phi_s(x-u).
     """
     a, q = aq.numerator, aq.denominator
     ap, qp = apqp.numerator, apqp.denominator
@@ -382,33 +306,14 @@ def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
     return complex(total)
 
 
-def ttstar_kernel_Ks(x: int, u: int, ctx: TTStarContext,
-                     ring_size: int, fam: BumpFamily = DEFAULT_BUMPS) -> complex:
-    """The arithmetic TT* kernel at scale s.
-
-    Evaluates the reduced form: the vanishing of R off divisors and the
-    frequency-separation of the phi_s windows collapse the double sum to
-    frequencies c/Q with Q = gcd(q(x), q'(u)), leaving the arithmetic
-    factor times phi_s*phi_s(x-u).  The ring must resolve the phi_s
-    window: ring_size >= 2^(5s+3).
-    """
-    s = ctx.scale
-    if ring_size < 2 ** (5 * s + 3):
-        raise ValueError("s too large for ring_size: need ring_size >= 2^(5s+3)")
-    aq = _linearizer_fraction(ctx.lam, x, s)
-    apqp = _linearizer_fraction(ctx.mu, u, s)
-    factor = ttstar_frequency_factor(aq, apqp, x - u, ctx.d)
-    conv = _phi_autoconv_on_ring(s, ring_size, fam)
-    return complex(factor * conv[(x - u) % ring_size])
-
-
 def ttstar_ratio_scan(s_values: Sequence[int], d: int, n_pairs: int = 40,
                       seed: int = 0) -> dict:
-    """Max of |K_s| / |phi_s*phi_s| over sampled linearizer pairs.
+    """Max of the TT* kernel relative to its window, per scale s.
 
-    The window factor cancels in the ratio, so the scan maximizes the
-    arithmetic frequency factor over sampled reduced fractions with
-    denominators in [2^(s-1), 2^s) and over all offsets mod gcd(q, q').
+    The kernel is the window autocorrelation times the arithmetic factor
+    of ttstar_frequency_factor, so the ratio is the factor's modulus.  The
+    scan maximizes it over sampled pairs of distinct reduced fractions
+    with denominators in [2^(s-1), 2^s) and over offsets mod gcd(q, q').
     """
     rng = np.random.Generator(np.random.Philox(seed))
     maxima = {}
@@ -465,23 +370,22 @@ def r_variation(seq: Sequence[complex], r: float) -> float:
     return float(best.max() ** (1.0 / r))
 
 
-def r_variation_bruteforce(seq: Sequence[complex], r: float) -> float:
-    """Exhaustive enumeration over all increasing subsequences (oracle)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    a = list(seq)
-    n = len(a)
-    best = 0.0
+def r_variation_bruteforce(seqs: np.ndarray, r: float) -> np.ndarray:
+    """The r-variation of each row of seqs, by exhaustive enumeration over
+    all increasing subsequences (the oracle of r_variation)."""
+    seqs = np.asarray(seqs)
+    n = seqs.shape[1]
+    best = np.zeros(len(seqs))
     for mask in range(1, 2 ** n):
         idx = [i for i in range(n) if mask >> i & 1]
         if len(idx) < 2:
             continue
-        diffs = [abs(a[idx[t + 1]] - a[idx[t]]) for t in range(len(idx) - 1)]
+        diffs = np.abs(np.diff(seqs[:, idx], axis=1))
         if math.isinf(r):
-            val = max(diffs)
+            vals = diffs.max(axis=1)
         else:
-            val = sum(d ** r for d in diffs) ** (1.0 / r)
-        best = max(best, val)
+            vals = (diffs ** r).sum(axis=1) ** (1.0 / r)
+        np.maximum(best, vals, out=best)
     return best
 
 

@@ -1,11 +1,11 @@
-"""Complete and incomplete Weyl/Gauss exponential sums.
+"""Complete Weyl/Gauss exponential sums.
 
 The normalized complete sum
 
     S(a/q, b/q) = (1/q) * sum_{r=1..q} e(-(a/q) r^d - (b/q) r),
 
-its orthogonality and kernel identities, and empirical decay scans
-(square-root cancellation in q, minor-arc smallness).
+its orthogonality and kernel identities, and the fit of its
+square-root cancellation in q (Hua's bound).
 
 Phases of complete sums are reduced mod q in exact integer arithmetic
 before the single transcendental call, so no drift accumulates even for
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .farey import ReducedFraction, torus_distance
+from .farey import ReducedFraction
 
 
 @dataclass(frozen=True)
@@ -45,30 +44,6 @@ class WeylTriple:
             raise ValueError("need 0 <= a, b < q")
         if math.gcd(math.gcd(self.a, self.b), self.q) != 1:
             raise ValueError("need gcd(a, b, q) = 1")
-
-
-@dataclass(frozen=True)
-class PolynomialPhase:
-    """A real polynomial phase c_1 x + ... + c_d x^d on an interval.
-
-    The constant term is omitted (it only rotates the sum).  The weight
-    is a C^1 function with |phi| <= C and |phi'(x)| <= C(1+|x|)^(-1);
-    None means the unit weight.
-    """
-
-    coefficients: tuple[float, ...]
-    interval: tuple[float, float]
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
-            raise ValueError("need at least the linear coefficient")
-        if self.interval[1] - self.interval[0] < 1.0:
-            raise ValueError("interval length must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
 
 
 def _complete_sum(a: int, b: int, q: int, d: int) -> complex:
@@ -95,32 +70,6 @@ def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
     ks = (a * rd) % q
     x = np.exp(-2j * np.pi * ks / q)
     return np.fft.fft(x) / q
-
-
-def incomplete_weyl_sum(p: PolynomialPhase) -> complex:
-    """sum_{n in I cap Z} e(P(n)) phi(n) by direct summation.
-
-    Phases are accumulated in extended precision and reduced mod 1
-    before exponentiation.
-    """
-    lo = math.ceil(p.interval[0])
-    hi = math.floor(p.interval[1])
-    if hi < lo:
-        return 0j
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    phase = np.zeros(len(n), dtype=np.longdouble)
-    nl = n.astype(np.longdouble)
-    power = nl.copy()
-    for c in p.coefficients:
-        if c != 0.0:
-            term = np.longdouble(c) * power
-            phase += term - np.floor(term)
-        power = power * nl
-    phase -= np.floor(phase)
-    vals = np.exp(2j * np.pi * phase.astype(np.float64))
-    if p.weight is not None:
-        vals = vals * p.weight(n.astype(np.float64))
-    return complex(vals.sum())
 
 
 def weyl_orthogonality_scan(q_max: int, d: int) -> dict:
@@ -192,54 +141,3 @@ def hua_exponent_fit(q_max: int, d: int) -> tuple[float, float]:
     slope, _ = np.polyfit(np.log(qs_a), np.log(max_a), 1)
     max_constant = float((max_a * qs_a ** (1.0 / d)).max())
     return float(slope), max_constant
-
-
-def in_log_major_box(xi_d: float, xi_1: float, j: int, d: int, C: float) -> bool:
-    """Membership in the union of log-scale major boxes at scale 2^j.
-
-    Boxes sit at coprime tuples (a_d, a_1, q) with q <= j^C and have
-    half-width j^C * 2^(-j*i) in the degree-i coordinate.
-    """
-    q_bound = int(math.floor(j ** C))
-    w_d = (j ** C) * 2.0 ** (-j * d)
-    w_1 = (j ** C) * 2.0 ** (-j)
-    for q in range(1, q_bound + 1):
-        a_d = round(xi_d * q)
-        a_1 = round(xi_1 * q)
-        if (torus_distance(xi_d, a_d / q) <= w_d
-                and torus_distance(xi_1, a_1 / q) <= w_1):
-            # nearest numerators suffice: box widths are < 1/(2q)
-            if math.gcd(math.gcd(a_d % q, a_1 % q), q) == 1:
-                return True
-    return False
-
-
-def minor_arc_decay_scan(j: int, d: int, alpha: float, C: float,
-                         samples: int = 500, seed: int = 0) -> dict:
-    """Sample xi outside the log-scale major boxes; record |S_N(xi)|/N.
-
-    Uses rejection sampling against the box membership test and direct
-    summation of the N = 2^j term incomplete sum with unit weight.
-    Reports the max normalized magnitude and whether it is <= C_bound
-    with C_bound = C * j^(-alpha) for the supplied constants.
-    """
-    if j < 4:
-        raise ValueError("j must be >= 4")
-    rng = np.random.Generator(np.random.Philox(seed))
-    n_terms = 2 ** j
-    max_norm = 0.0
-    accepted = 0
-    while accepted < samples:
-        xi_d, xi_1 = rng.random(2)
-        if in_log_major_box(xi_d, xi_1, j, d, C):
-            continue
-        accepted += 1
-        coeffs = [0.0] * d
-        coeffs[0] = xi_1
-        coeffs[d - 1] = xi_d
-        p = PolynomialPhase(tuple(coeffs), (1.0, float(n_terms)))
-        val = abs(incomplete_weyl_sum(p)) / n_terms
-        max_norm = max(max_norm, val)
-    bound = C * j ** (-alpha)
-    return {"j": j, "d": d, "samples": samples, "max_normalized": max_norm,
-            "bound": bound, "passes": max_norm <= bound}

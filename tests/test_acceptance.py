@@ -135,7 +135,7 @@ def test_07_oracle_equivalence():
 def test_08_stationary_phase_split():
     with timed(600):
         rows, summary, passed = bench._exp_stationary_phase(
-            {"seed": 2, "n_xi": 50, "l_min": 8, "l_max": 14, "tol": 1e-8})
+            seed=2, n_xi=50, l_min=8, l_max=14, tol=1e-8)
         assert summary["max_recon_error"] < summary["recon_threshold"], summary
         assert abs(summary["peak_exponent"] + 0.5) <= 0.15, summary
         assert passed
@@ -151,7 +151,7 @@ def test_09_ttstar_ratio_decreasing():
 def test_10_outside_xj_decay():
     with timed(300):
         rows, summary, passed = bench._exp_xj_restricted(
-            {"seed": 11, "n_seeds": 5, "j_lo": 6, "j_hi": 12})
+            seed=11, n_seeds=5, j_lo=6, j_hi=12)
         for row in rows:
             assert row["norm_hi"] < row["norm_lo"], row
         assert passed
@@ -164,7 +164,7 @@ def test_11_r_variation_dp_equals_enumeration():
                                         indexing="ij")).reshape(n, -1).T
             per_r = {}
             for r in (1.0, 2.0, 3.0, math.inf):
-                brute = bench._variation_enumerated(seqs, r)
+                brute = spectral.r_variation_bruteforce(seqs, r)
                 dp = np.array([spectral.r_variation(s, r) for s in seqs])
                 assert float(np.abs(brute - dp).max()) < 1e-12, (n, r)
                 per_r[r] = dp
@@ -177,8 +177,7 @@ def test_11_r_variation_dp_equals_enumeration():
 def test_12_ergodic_oscillation_growth():
     with timed(600):
         rows, summary, passed = bench._exp_ergodic(
-            {"seed": 9, "N": 2 ** 12, "J_list": [4, 8, 16, 32],
-             "n_seeds": 5})
+            seed=9, N=2 ** 12, J_list=[4, 8, 16, 32], n_seeds=5)
         assert summary["max_exponent"] < 0.9, summary
         assert passed
 

@@ -9,6 +9,7 @@ import pytest
 
 from modhilb.bench import (EXPERIMENTS, ExperimentConfig, RNG_ALGORITHM,
                            SCHEMA_VERSION, make_rng, run)
+from modhilb.cli import main
 
 
 class TestConfig:
@@ -37,6 +38,25 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(str(path))
         assert cfg.experiment == "weyl-scan"
         assert cfg.params == {"q_max": 6}
+
+    @pytest.mark.parametrize("raw, field", [
+        pytest.param({"schema_version": SCHEMA_VERSION}, "experiment",
+                     id="no-experiment"),
+        pytest.param({"schema_version": SCHEMA_VERSION,
+                      "experiment": "weyl-scan", "params": [6]}, "params",
+                     id="params-not-object"),
+    ])
+    def test_from_json_malformed_field_named(self, tmp_path, raw, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f'"{field}"'):
+            ExperimentConfig.from_json(str(path))
+
+    def test_scalar_values_cast_to_declared_type(self):
+        params = ExperimentConfig("hua-fit", {"q_max": 60.0}).validate()
+        assert params["q_max"] == 60 and type(params["q_max"]) is int
+        with pytest.raises(ValueError):
+            ExperimentConfig("hua-fit", {"q_max": 60.5}).validate()
 
 
 class TestReports:
@@ -68,6 +88,23 @@ class TestReports:
                 == (b_dir / "ttstar.csv").read_bytes())
         assert ((a_dir / "ttstar.summary.json").read_bytes()
                 == (b_dir / "ttstar.summary.json").read_bytes())
+
+    def test_defaults_written_as_params(self, tmp_path):
+        run(ExperimentConfig("hua-fit", {}, str(tmp_path)))
+        payload = json.loads((tmp_path / "hua-fit.summary.json").read_text())
+        assert payload["params"] == {"q_max": 200, "d": 2}
+
+    def test_summary_reruns_as_config(self, tmp_path, monkeypatch):
+        # the default r_list holds inf, which the summary writes as Infinity
+        first = tmp_path / "first"
+        run(ExperimentConfig("variation", {"n_max": 4}, str(first)))
+        rerun = tmp_path / "rerun"
+        rerun.mkdir()
+        monkeypatch.chdir(rerun)
+        assert main(["run", "--config",
+                     str(first / "variation.summary.json")]) == 0
+        assert ((rerun / "variation.csv").read_bytes()
+                == (first / "variation.csv").read_bytes())
 
     def test_floats_full_precision(self, tmp_path):
         self.run_small(tmp_path)

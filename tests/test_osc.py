@@ -8,10 +8,9 @@ import pytest
 
 from modhilb import osc
 from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
-                         PhaseContext, QuadratureError,
-                         conjugate_phase_constant, critical_point, mu, mu_bar,
-                         oscillatory_quadrature, psi_j, signed_power,
-                         square_function_S_G, stationary_phase_split)
+                         PhaseContext, QuadratureError, critical_point,
+                         oscillatory_quadrature, psi_j, square_function_S_G,
+                         stationary_phase_split)
 from modhilb.spectral import Signal
 
 
@@ -56,12 +55,14 @@ class TestBumpFamily:
             assert abs(total - 1.0 / x) < 1e-12
 
     def test_theta_partition_of_unity(self):
+        # theta(t) = t psi(t) = eta(t) - eta(2t) telescopes over 2^j t
         fam = DEFAULT_BUMPS
         for xi in np.concatenate([np.logspace(-3, 3, 101),
                                   -np.logspace(-3, 3, 101)]):
             j0 = round(math.log2(abs(xi)))
-            total = sum(fam.theta(math.ldexp(abs(xi), j) * math.copysign(1, xi))
-                        for j in range(-j0 - 4, -j0 + 5))
+            total = sum(u * fam.psi(u) for u in
+                        (math.ldexp(abs(xi), j) * math.copysign(1, xi)
+                         for j in range(-j0 - 4, -j0 + 5)))
             assert abs(total - 1.0) < 1e-12
 
     def test_chi_sandwich(self):
@@ -72,14 +73,6 @@ class TestBumpFamily:
         assert np.all(vals[np.abs(xi) <= c] >= 1.0 - 1e-15)
         assert np.all(vals[np.abs(xi) >= 2 * c] <= 1e-15)
         assert np.all((0.0 <= vals) & (vals <= 1.0 + 1e-15))
-
-    def test_bar_variants_cover_supports(self):
-        fam = DEFAULT_BUMPS
-        xi = np.linspace(-20.0, 20.0, 4001)
-        for base, bar in ((fam.theta, fam.theta_bar), (fam.chi, fam.chi_bar),
-                          (fam.zeta, fam.zeta_bar)):
-            mask = np.asarray(base(xi)) > 1e-12
-            assert np.allclose(np.asarray(bar(xi))[mask], 1.0)
 
     def test_smoothness_order_validation(self):
         with pytest.raises(ValueError):
@@ -185,22 +178,6 @@ class TestHj:
         assert np.all(slopes > -1.2)
 
 
-class TestMu:
-    def test_mu_zero(self):
-        assert abs(mu(0.0, 0, 0, 2)) < 1e-10
-
-    def test_mu_bar_zero_fixture(self):
-        # fine-grid oracle: int t psi(t) dt = int w = 3/2, so -3 pi i
-        assert mu_bar(0.0, 0, 0, 2) == pytest.approx(-3j * math.pi, abs=1e-9)
-
-    def test_mean_value_bound_on_slab(self):
-        d, k = 2, 6
-        for l in (0, 1, 2):
-            lam = 1.5 * math.ldexp(1.0, l - d * k)
-            bound = 4.0 * min(math.ldexp(1.0, l), 1.0) * 2.0 * math.log(2.0)
-            assert abs(mu(lam, l, k, d)) <= bound
-
-
 class TestPhaseContext:
     def test_slab_validation(self):
         with pytest.raises(ValueError):
@@ -261,20 +238,6 @@ class TestCriticalPoint:
         ctx = PhaseContext(d, k, l, lam)
         (t,) = critical_point(-2.0 * math.ldexp(1.0, l - k), ctx)
         assert 0.5 <= abs(t) <= 2.0
-
-
-class TestSignedPower:
-    def test_even_d_signed(self):
-        assert signed_power(-4.0, 2) == pytest.approx(-16.0)
-        assert signed_power(4.0, 2) == pytest.approx(16.0)
-
-    def test_odd_d_absolute(self):
-        assert signed_power(-8.0, 3) == pytest.approx(8.0 ** 1.5)
-
-    def test_conjugate_phase_constant(self):
-        assert conjugate_phase_constant(2) == pytest.approx(-0.75)
-        assert conjugate_phase_constant(3) == pytest.approx(
-            -(4.0 / 3.0) * 3.0 ** -0.5)
 
 
 class TestGHat:
@@ -451,32 +414,21 @@ class TestLevinAgainstGaussKronrod:
         assert abs(root - edge_root) < 1e-12
         self._check_symbol(xi, ctx, levin_calls)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_H_j(self, d, levin_calls):
+    @pytest.mark.parametrize("X, Y, d", [
         # roots of phase' at 1.3 (d = 2) and +-1.1 (d = 3), inside supp psi
+        pytest.param(350.0, -2.0 * 350.0 * 1.3, 2, id="2"),
+        pytest.param(350.0, -3.0 * 350.0 * 1.21, 3, id="3"),
+        # Y = 0 and d odd: no root; H_j(1.1 * 2^-22, 0, 10, 3)
+        pytest.param(1.1 * 2.0 ** 8, 0.0, 3, id="y0"),
+    ])
+    def test_H_j(self, X, Y, d, levin_calls):
         j = 10
-        X = 350.0
-        Y = -2.0 * X * 1.3 if d == 2 else -3.0 * X * 1.21
         val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d,
                   tol=self.TOL)
         assert levin_calls
         expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
                                          + Y * np.asarray(t)), self.TOL)
         assert abs(val - expect) < self.TOL
-
-    def test_mu_and_mu_bar(self, levin_calls):
-        d, k, l = 3, 10, 8
-        lam = 1.1 * math.ldexp(1.0, l - d * k)
-        scale = math.ldexp(lam, k * d)
-
-        def phase(t):
-            return -scale * np.asarray(t) ** d
-
-        assert abs(mu(lam, l, k, d) - _psi_oracle(phase, 1e-10)) < 1e-10
-        expect = -2j * math.pi * _psi_oracle(phase, 1e-10,
-                                             weight=lambda t: np.asarray(t))
-        assert abs(mu_bar(lam, l, k, d) - expect) < 2 * math.pi * 1e-10
-        assert len(levin_calls) == 2
 
     def test_below_crossover_is_the_reference_path(self, levin_calls):
         # few cycles: H_j is oscillatory_quadrature on each half, bit for bit
@@ -520,13 +472,6 @@ class TestBudgetEstimates:
         with pytest.raises(QuadratureError) as exc:
             G_hat_direct(xi, ctx, tol=0.0, panel_budget=1000)
         assert abs(exc.value.estimate[0] - ref) < 1e-6 * abs(ref)
-
-    def test_mu_bar_estimate_carries_its_factor(self):
-        ref = mu_bar(0.3, 3, 2, 2, tol=1e-12)
-        with pytest.raises(QuadratureError) as exc:
-            mu_bar(0.3, 3, 2, 2, tol=0.0)
-        assert abs(exc.value.estimate[0] - ref) < 1e-9 * abs(ref)
-
 
 class TestPhaseVariation:
     @pytest.mark.parametrize("X, Y, d", [

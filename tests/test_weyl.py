@@ -1,4 +1,4 @@
-"""Tests for the complete and incomplete Weyl/Gauss sums."""
+"""Tests for the complete Weyl/Gauss sums."""
 
 import cmath
 import math
@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhilb.farey import ReducedFraction
-from modhilb.weyl import (PolynomialPhase, WeylTriple, _complete_sum_row,
-                          complete_weyl_sum, hua_exponent_fit,
-                          in_log_major_box, incomplete_weyl_sum,
-                          minor_arc_decay_scan, weyl_kernel_identity,
+from modhilb.weyl import (WeylTriple, _complete_sum_row, complete_weyl_sum,
+                          hua_exponent_fit, weyl_kernel_identity,
                           weyl_orthogonality_scan)
 
 
@@ -69,38 +67,6 @@ class TestCompleteWeylSum:
             for b in range(q):
                 assert row[b] == pytest.approx(naive_complete_sum(3 % q, b, q, 2),
                                                abs=1e-12)
-
-
-class TestIncompleteWeylSum:
-    def test_counting(self):
-        p = PolynomialPhase((0.0,), (1.0, 10.0))
-        assert incomplete_weyl_sum(p) == pytest.approx(10.0)
-
-    def test_alternating(self):
-        p = PolynomialPhase((0.5,), (1.0, 10.0))
-        assert abs(incomplete_weyl_sum(p)) < 1e-12
-
-    def test_sqrt2_regression_fixture(self):
-        # frozen from a 40-digit direct-summation oracle run with the
-        # same double-precision coefficient
-        p = PolynomialPhase((0.0, math.sqrt(2.0) - 1.0), (1.0, 1000.0))
-        val = incomplete_weyl_sum(p)
-        assert abs(val) == pytest.approx(16.463756470190239, abs=1e-9)
-        assert val.real == pytest.approx(14.442843722563577, abs=1e-9)
-        assert val.imag == pytest.approx(7.903134967551600, abs=1e-9)
-
-    def test_single_lattice_point(self):
-        p = PolynomialPhase((0.3,), (1.2, 2.4))
-        assert incomplete_weyl_sum(p) == pytest.approx(
-            cmath.exp(2j * cmath.pi * 0.3 * 2), abs=1e-12)
-
-    def test_weight_applied(self):
-        p = PolynomialPhase((0.0,), (1.0, 4.0), weight=lambda n: 1.0 / n)
-        assert incomplete_weyl_sum(p) == pytest.approx(1 + 1 / 2 + 1 / 3 + 1 / 4)
-
-    def test_short_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PolynomialPhase((0.1,), (0.0, 0.5))
 
 
 class TestOrthogonalityScan:
@@ -161,18 +127,3 @@ class TestHuaFit:
     def test_q_max_too_small(self):
         with pytest.raises(ValueError):
             hua_exponent_fit(4, 2)
-
-
-class TestMinorArcScan:
-    def test_box_centers_excluded(self):
-        # (1/2, 1/2) lies in a log-scale major box, so membership holds
-        assert in_log_major_box(0.5, 0.5, 10, 2, 2.0)
-
-    def test_scan_decreases_with_j(self):
-        lo = minor_arc_decay_scan(8, 2, 1.0, 2.0, samples=60, seed=0)
-        hi = minor_arc_decay_scan(10, 2, 1.0, 2.0, samples=60, seed=0)
-        assert hi["max_normalized"] < lo["max_normalized"]
-
-    def test_j_too_small(self):
-        with pytest.raises(ValueError):
-            minor_arc_decay_scan(3, 2, 1.0, 2.0)
