@@ -2,7 +2,8 @@
 
 Subpackages:
 
-- farey     reduced fractions, Dirichlet approximation, the X_j sets
+- farey     reduced fractions, Dirichlet approximation, Farey levels,
+            major boxes, the X_j sets
 - weyl      complete Weyl/Gauss sums and their identities
 - osc       bump families, oscillatory quadrature, stationary phase,
             the square function

@@ -1,8 +1,9 @@
 """Exact rational machinery for the circle method.
 
 Reduced fractions on the torus, Dirichlet approximation (with its
-brute-force oracle), and the X_j sets of dangerous modulation parameters
-with their membership test.
+brute-force oracle), Farey level enumeration, major-box membership, and
+the X_j sets of dangerous modulation parameters with their membership
+test.
 
 All operations are pure functions on immutable inputs.
 """
@@ -112,6 +113,60 @@ def dirichlet_approx_bruteforce(lam: float, q_max: int) -> ReducedFraction:
                 best = (d, q, a)
     assert best is not None
     return reduce(best[2], best[1])
+
+
+def farey_level(q_max: int) -> list[ReducedFraction]:
+    """All reduced fractions in [0,1) with denominator <= q_max, ascending."""
+    if q_max < 1:
+        raise ValueError("q_max must be a positive integer")
+    seen = set()
+    for q in range(1, q_max + 1):
+        for a in range(0, q):
+            if math.gcd(a, q) == 1:
+                seen.add((a, q))
+    fractions = sorted(seen, key=lambda t: Fraction(t[0], t[1]))
+    return [ReducedFraction(a, q) for a, q in fractions]
+
+
+@dataclass(frozen=True)
+class MajorBox:
+    """The j-th major box at a rational pair of centers.
+
+    Half-widths are 2^((eps-d)j) in lambda and 2^((eps-1)j) in beta; the
+    centers share a common denominator Q with Q <= 2^(eps*j).
+    """
+
+    center_lambda: ReducedFraction
+    center_beta: ReducedFraction
+    j: int
+    epsilon: float
+    d: int
+
+    def __post_init__(self):
+        if self.j < 1:
+            raise ValueError("j must be a positive integer")
+        if not (0.0 < self.epsilon <= 0.1):
+            raise ValueError("epsilon must lie in (0, 1/10]")
+        if self.d < 2:
+            raise ValueError("d must be an integer >= 2")
+        q_common = math.lcm(self.center_lambda.denominator,
+                            self.center_beta.denominator)
+        if q_common > 2.0 ** (self.epsilon * self.j):
+            raise ValueError("common denominator exceeds 2^(eps*j)")
+
+    @property
+    def half_width_lambda(self) -> float:
+        return 2.0 ** ((self.epsilon - self.d) * self.j)
+
+    @property
+    def half_width_beta(self) -> float:
+        return 2.0 ** ((self.epsilon - 1.0) * self.j)
+
+
+def in_major_box(lam: float, beta: float, box: MajorBox) -> bool:
+    """Membership test with torus distances against both half-widths."""
+    return (torus_distance(lam, box.center_lambda.value) <= box.half_width_lambda
+            and torus_distance(beta, box.center_beta.value) <= box.half_width_beta)
 
 
 def dyadic_width(j: int, exponent_C: float, d: int, prefactor: float = 1.0) -> float:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhilb.farey import (ReducedFraction, XSet, dirichlet_approx,
-                           dirichlet_approx_bruteforce, dyadic_width, reduce,
-                           torus_distance, xset_contains)
+from modhilb.farey import (MajorBox, ReducedFraction, XSet, dirichlet_approx,
+                           dirichlet_approx_bruteforce, dyadic_width,
+                           farey_level, in_major_box, reduce, torus_distance,
+                           xset_contains)
 
 
 class TestReduce:
@@ -78,6 +79,69 @@ class TestDirichletApprox:
                 gap = abs(Fraction(lam) - rf.as_fraction())
                 gap = min(gap, 1 - gap)  # the representative lives on the torus
                 assert gap <= Fraction(1, rf.denominator * q_max)
+
+
+class TestFareyLevel:
+    def test_level_one(self):
+        assert farey_level(1) == [ReducedFraction(0, 1)]
+
+    def test_level_three(self):
+        assert farey_level(3) == [ReducedFraction(0, 1), ReducedFraction(1, 3),
+                                  ReducedFraction(1, 2), ReducedFraction(2, 3)]
+
+    def test_count_level_five(self):
+        # direct enumeration oracle: 1 + sum_{2<=k<=5} phi(k) = 10
+        assert len(farey_level(5)) == 10
+
+    def test_length_totient_formula(self):
+        def phi(n):
+            return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        for q in range(1, 30):
+            expected = 1 + sum(phi(k) for k in range(1, q + 1)) - phi(1)
+            assert len(farey_level(q)) == expected
+
+    def test_strictly_increasing(self):
+        vals = [f.as_fraction() for f in farey_level(17)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestMajorBox:
+    def box(self):
+        zero = ReducedFraction(0, 1)
+        return MajorBox(zero, zero, j=10, epsilon=0.1, d=2)
+
+    def test_center_inside(self):
+        assert in_major_box(0.0, 0.0, self.box())
+
+    def test_width_arithmetic(self):
+        # (eps - d) j = -19, so 2^-17 exceeds the lambda half-width
+        assert not in_major_box(2.0 ** -17, 0.0, self.box())
+        assert in_major_box(2.0 ** -20, 0.0, self.box())
+
+    def test_torus_wraparound(self):
+        assert in_major_box(1.0 - 2.0 ** -20, 0.0, self.box())
+
+    def test_denominator_bound_enforced(self):
+        with pytest.raises(ValueError):
+            MajorBox(ReducedFraction(1, 3), ReducedFraction(0, 1),
+                     j=10, epsilon=0.1, d=2)
+
+    def test_disjointness_of_sampled_boxes(self):
+        # random (lam, beta) belong to at most one box over all Q <= 2^(eps j)
+        rng = np.random.Generator(np.random.Philox(5))
+        for j in range(10, 17):
+            q_bound = int(2.0 ** (0.05 * j))
+            boxes = []
+            for q in range(1, q_bound + 1):
+                for a in range(q):
+                    for b in range(q):
+                        if math.gcd(math.gcd(a, b), q) != 1:
+                            continue
+                        boxes.append(MajorBox(reduce(a, q), reduce(b, q),
+                                              j=j, epsilon=0.05, d=2))
+            for lam, beta in rng.random((50, 2)):
+                hits = sum(in_major_box(lam, beta, box) for box in boxes)
+                assert hits <= 1
 
 
 class TestXSet:

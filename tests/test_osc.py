@@ -8,9 +8,10 @@ import pytest
 
 from modhilb import osc
 from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
-                         PhaseContext, QuadratureError, critical_point,
-                         oscillatory_quadrature, psi_j, square_function_S_G,
-                         stationary_phase_split)
+                         PhaseContext, QuadratureError,
+                         conjugate_phase_constant, critical_point,
+                         oscillatory_quadrature, psi_j, signed_power,
+                         square_function_S_G, stationary_phase_split)
 from modhilb.spectral import Signal
 
 
@@ -238,6 +239,20 @@ class TestCriticalPoint:
         ctx = PhaseContext(d, k, l, lam)
         (t,) = critical_point(-2.0 * math.ldexp(1.0, l - k), ctx)
         assert 0.5 <= abs(t) <= 2.0
+
+
+class TestSignedPower:
+    def test_even_d_signed(self):
+        assert signed_power(-4.0, 2) == pytest.approx(-16.0)
+        assert signed_power(4.0, 2) == pytest.approx(16.0)
+
+    def test_odd_d_absolute(self):
+        assert signed_power(-8.0, 3) == pytest.approx(8.0 ** 1.5)
+
+    def test_conjugate_phase_constant(self):
+        assert conjugate_phase_constant(2) == pytest.approx(-0.75)
+        assert conjugate_phase_constant(3) == pytest.approx(
+            -(4.0 / 3.0) * 3.0 ** -0.5)
 
 
 class TestGHat:

@@ -41,6 +41,11 @@ class TestLambdaGrid:
         g = LambdaGrid.uniform(4)
         assert g.points == (0.0, 0.25, 0.5, 0.75)
 
+    def test_dyadic_in_range(self):
+        g = LambdaGrid.dyadic(2, 5, 4)
+        assert all(2.0 ** -6 <= p <= 2.0 ** -2 for p in g.points)
+        assert all(a < b for a, b in zip(g.points, g.points[1:]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LambdaGrid((0.5, 0.5))
