@@ -405,7 +405,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     """
     params = config.validate()
     rows, summary, passed = EXPERIMENTS[config.experiment](**params)
+    # bool() so a numpy bool is written as a JSON boolean, not a string
     report = ExperimentReport(replace(config, params=params),
-                              rows, summary, passed)
+                              rows, summary, bool(passed))
     report.write()
     return report

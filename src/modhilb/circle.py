@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .farey import XSet, dyadic_width, xset_contains
+from .farey import XSet, farey_neighbours, xset_contains
 from .osc import DEFAULT_BUMPS, BumpFamily, H_j
 from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_outputs,
                        multiplier_Mj)
@@ -79,10 +79,6 @@ class ApproxParams:
     def chi_s(self, t: float, s: int) -> float:
         return self.fam.chi(self.chi_s_scale(s) * t)
 
-    def xi_j_width(self, j: int) -> float:
-        """Sharp lambda-window half-width; bit-identical to the X_j width."""
-        return dyadic_width(j, self.exponent_C, self.d, self.prefactor)
-
     def xset(self, j: int) -> XSet:
         return XSet(j, self.exponent_C, self.d, self.prefactor)
 
@@ -101,6 +97,12 @@ def _wrapped_offset(x: float, center: float) -> float:
     return delta
 
 
+def _torus_offset(x: float, num: int, den: int) -> Fraction:
+    """Signed torus difference x - num/den reduced to [-1/2, 1/2], exact."""
+    delta = Fraction(x) - Fraction(num, den)
+    return delta - round(delta)
+
+
 def _exact_offset(x: float, num: int, den: int) -> float:
     """Signed torus difference x - num/den, exact before the final rounding.
 
@@ -109,41 +111,34 @@ def _exact_offset(x: float, num: int, den: int) -> float:
     the comparison between a multiplier value at x and an approximant
     centered at num/den consistent to relative precision.
     """
-    delta = Fraction(x) - Fraction(num, den)
-    delta -= round(delta)
-    return float(delta)
+    return float(_torus_offset(x, num, den))
 
 
 def _contributing_centers(lam: float, beta: float, s: int,
                           p: ApproxParams) -> list[tuple[int, int, int]]:
     """Coprime triples (A, B, Q), Q in [2^(s-1), 2^s), within both cutoffs.
 
-    Only the nearest one or two numerators per denominator can be within
-    the cutoff radius, so the search is O(2^s) instead of O(2^(3s)).
-    At most one center may survive; two would contradict the separation
-    bound, so that case raises.
+    A/Q and B/Q reduce to fractions with denominator < 2^s, and at most
+    one such fraction lies within the cutoff radius of any point: the
+    nearest Farey neighbour.  Coprimality then fixes Q as the lcm of the
+    two reduced denominators, so at most one center survives.
     """
     radius = p.chi_s_radius(s)
-    found = []
-    for Q in range(2 ** (s - 1), 2 ** s):
-        a_near = math.floor(lam * Q)
-        b_near = math.floor(beta * Q)
-        for A in (a_near, a_near + 1):
-            if abs(lam - A / Q) > radius:
-                continue
-            for B in (b_near, b_near + 1):
-                if abs(beta - B / Q) > radius:
-                    continue
-                if math.gcd(math.gcd(A % Q if Q > 1 else 0,
-                                     B % Q if Q > 1 else 0), Q) != 1:
-                    continue
-                center = (A % Q if Q > 1 else 0, B % Q if Q > 1 else 0, Q)
-                if center not in found:
-                    found.append(center)
-    if len(found) > 1:
-        raise AssertionError(
-            f"cutoff disjointness violated at s={s}: centers {found}")
-    return found
+    # half the separation 2^(-2s) of fractions with denominator < 2^s
+    assert radius <= 2.0 ** (-2 * s - 1)
+    radius = Fraction(radius)
+    near = []
+    for x in (Fraction(lam), Fraction(beta)):
+        dist, f = min((abs(x - g), g) for g in farey_neighbours(x, 2 ** s - 1))
+        if dist > radius:
+            return []
+        near.append(f)
+    a, b = near
+    Q = math.lcm(a.denominator, b.denominator)
+    if not 2 ** (s - 1) <= Q < 2 ** s:
+        return []
+    return [(a.numerator * (Q // a.denominator) % Q,
+             b.numerator * (Q // b.denominator) % Q, Q)]
 
 
 def _all_centers(s: int) -> list[tuple[int, int, int]]:
@@ -159,10 +154,12 @@ def _all_centers(s: int) -> list[tuple[int, int, int]]:
 
 def _ljs_term(lam: float, beta: float, j: int, s: int, A: int, B: int, Q: int,
               p: ApproxParams, tol: float) -> complex:
-    dl = _exact_offset(lam, A, Q)
-    db = _exact_offset(beta, B, Q)
-    if abs(dl) > p.xi_j_width(j):
+    # the Xi_j window is X_j's comparison: exact offset against its width
+    dl = _torus_offset(lam, A, Q)
+    if abs(dl) > p.xset(j).width:
         return 0j
+    dl = float(dl)
+    db = _exact_offset(beta, B, Q)
     cl = p.chi_s(dl, s)
     cb = p.chi_s(db, s)
     if cl == 0.0 or cb == 0.0:
@@ -207,8 +204,10 @@ def error_Ej(lam: float, beta: float, j: int, p: ApproxParams,
              tol: float = 1e-10) -> complex:
     """M_j(lam, beta) 1_{X_j}(lam) - L_j(lam, beta).
 
-    Supported in lambda inside X_j: the Xi_j window inside L_j uses the
-    same dyadic width as X_j, so L_j cannot fire outside it.
+    Supported in lambda inside X_j: the Xi_j window inside L_j makes X_j's
+    exact comparison with the same width, around centers whose
+    denominators Q < 2^s <= j^C are within X_j's bound, so L_j cannot
+    fire outside it.
     """
     inside = xset_contains(lam, p.xset(j))
     mj = multiplier_Mj(lam, beta, j, p.d, p.fam) if inside else 0j

@@ -1,9 +1,9 @@
 """Exact rational machinery for the circle method.
 
-Reduced fractions on the torus, Dirichlet approximation (with its
-brute-force oracle), Farey level enumeration, major-box membership, and
-the X_j sets of dangerous modulation parameters with their membership
-test.
+Reduced fractions on the torus, the Farey neighbours of a rational (the
+one nearest-rational routine), Dirichlet approximation (with its
+brute-force oracle), and the X_j sets of dangerous modulation parameters
+with their membership test.
 
 All operations are pure functions on immutable inputs.
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,32 @@ def reduce(a: int, q: int) -> ReducedFraction:
     return ReducedFraction(a // g, q // g)
 
 
-def torus_distance(x: float, y: float = 0.0) -> float:
-    """Distance on the torus: min(|x-y| mod 1, 1 - (|x-y| mod 1))."""
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
+def farey_neighbours(x: Fraction, q_max: int) -> tuple[Fraction, Fraction]:
+    """The neighbours lo <= x <= hi of x in the Farey sequence of order q_max.
+
+    lo and hi are adjacent among the fractions with denominator <= q_max
+    (on the whole real line, so the nearest of them is the nearest such
+    fraction to x on the torus too), and lo == hi == x when x itself has
+    denominator <= q_max.  They are the last convergent of the continued
+    fraction of x with denominator <= q_max and the largest semiconvergent
+    that follows it, found in O(log q_max) exact integer steps.
+    """
+    if q_max < 1:
+        raise ValueError("q_max must be a positive integer")
+    if x.denominator <= q_max:
+        return x, x
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    while True:
+        a = n // d
+        if q0 + a * q1 > q_max:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (q_max - q0) // q1
+    semi = Fraction(p0 + k * p1, q0 + k * q1)
+    conv = Fraction(p1, q1)
+    return (semi, conv) if semi < conv else (conv, semi)
 
 
 def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
@@ -69,33 +89,17 @@ def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
     inequality |lam - a/q| <= 1/(q*q_max), returns one minimizing
     |lam - a/q|; ties are broken by the smaller denominator.
 
-    The scan visits, for every q, the nearest numerator round(lam*q);
-    any fraction satisfying the inequality is dominated by the nearest
-    one at the same denominator, so this search is exhaustive.
-    Borderline comparisons are adjudicated in exact rational arithmetic.
+    Only the two Farey neighbours of lam in F_{q_max} can win: any other
+    such fraction on one side is farther than the neighbour there and
+    fails the inequality.  The nearer neighbour may fail it too, and then
+    the farther one holds it (Dirichlet's theorem).  All comparisons are
+    exact.
     """
-    if q_max < 1:
-        raise ValueError("q_max must be a positive integer")
-    qs = np.arange(1, q_max + 1)
-    nums = np.rint(lam * qs)
-    dist = np.abs(lam - nums / qs)
-    bound = 1.0 / (qs * q_max)
-    # float prefilter with a slack band; exact checks below settle the band
-    maybe = dist <= bound * (1.0 + 1e-9) + 1e-15
-    lam_f = Fraction(lam)
-    best: tuple[Fraction, int, int] | None = None  # (distance, q, a)
-    for q in qs[maybe]:
-        q = int(q)
-        a = round(lam * q)
-        d_exact = abs(lam_f - Fraction(a, q))
-        if d_exact > Fraction(1, q * q_max):
-            continue
-        if best is None or d_exact < best[0]:
-            best = (d_exact, q, a)
-    # Dirichlet's theorem guarantees a fraction within the inequality,
-    # and the prefilter's slack band keeps every such denominator
-    assert best is not None, f"no Dirichlet approximation to {lam!r}"
-    return reduce(best[2], best[1])
+    x = Fraction(lam)
+    ok = [f for f in farey_neighbours(x, q_max)
+          if abs(x - f) <= Fraction(1, f.denominator * q_max)]
+    best = min(ok, key=lambda f: (abs(x - f), f.denominator))
+    return reduce(best.numerator, best.denominator)
 
 
 def dirichlet_approx_bruteforce(lam: float, q_max: int) -> ReducedFraction:
@@ -113,60 +117,6 @@ def dirichlet_approx_bruteforce(lam: float, q_max: int) -> ReducedFraction:
                 best = (d, q, a)
     assert best is not None
     return reduce(best[2], best[1])
-
-
-def farey_level(q_max: int) -> list[ReducedFraction]:
-    """All reduced fractions in [0,1) with denominator <= q_max, ascending."""
-    if q_max < 1:
-        raise ValueError("q_max must be a positive integer")
-    seen = set()
-    for q in range(1, q_max + 1):
-        for a in range(0, q):
-            if math.gcd(a, q) == 1:
-                seen.add((a, q))
-    fractions = sorted(seen, key=lambda t: Fraction(t[0], t[1]))
-    return [ReducedFraction(a, q) for a, q in fractions]
-
-
-@dataclass(frozen=True)
-class MajorBox:
-    """The j-th major box at a rational pair of centers.
-
-    Half-widths are 2^((eps-d)j) in lambda and 2^((eps-1)j) in beta; the
-    centers share a common denominator Q with Q <= 2^(eps*j).
-    """
-
-    center_lambda: ReducedFraction
-    center_beta: ReducedFraction
-    j: int
-    epsilon: float
-    d: int
-
-    def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("j must be a positive integer")
-        if not (0.0 < self.epsilon <= 0.1):
-            raise ValueError("epsilon must lie in (0, 1/10]")
-        if self.d < 2:
-            raise ValueError("d must be an integer >= 2")
-        q_common = math.lcm(self.center_lambda.denominator,
-                            self.center_beta.denominator)
-        if q_common > 2.0 ** (self.epsilon * self.j):
-            raise ValueError("common denominator exceeds 2^(eps*j)")
-
-    @property
-    def half_width_lambda(self) -> float:
-        return 2.0 ** ((self.epsilon - self.d) * self.j)
-
-    @property
-    def half_width_beta(self) -> float:
-        return 2.0 ** ((self.epsilon - 1.0) * self.j)
-
-
-def in_major_box(lam: float, beta: float, box: MajorBox) -> bool:
-    """Membership test with torus distances against both half-widths."""
-    return (torus_distance(lam, box.center_lambda.value) <= box.half_width_lambda
-            and torus_distance(beta, box.center_beta.value) <= box.half_width_beta)
 
 
 def dyadic_width(j: int, exponent_C: float, d: int, prefactor: float = 1.0) -> float:
@@ -204,9 +154,11 @@ class XSet:
 
 
 def xset_contains(lam: float, xs: XSet) -> bool:
-    """True iff lam is within xs.width of some a/q with q <= floor(j^C)."""
-    for q in range(1, xs.q_bound + 1):
-        a = round(lam * q)
-        if torus_distance(lam, a / q) <= xs.width:
-            return True
-    return False
+    """True iff lam is within xs.width of some a/q with q <= floor(j^C).
+
+    One of lam's two Farey neighbours of that order is the nearest such
+    a/q; the distance is compared with the width exactly.
+    """
+    x = Fraction(lam)
+    width = Fraction(xs.width)
+    return any(abs(x - f) <= width for f in farey_neighbours(x, xs.q_bound))

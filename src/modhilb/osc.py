@@ -2,8 +2,8 @@
 
 Concrete realizations of the cutoffs (eta, psi, chi, zeta, xi0), the
 continuous multiplier block H_j, the windowed oscillatory symbol G with
-its stationary-phase split (critical points, the conjugate-phase constant
-and signed power), and the square function built from G.
+its stationary-phase split at the critical points, and the square
+function built from G.
 
 The base cutoff eta is a polynomial smoothstep (default degree 9, C^4):
 eta = 1 on [-1,1], 0 outside [-2,2], monotone on the transition bands.
@@ -579,24 +579,6 @@ def critical_point(xi: float, ctx: PhaseContext) -> list[float]:
         warnings.warn("critical_point: xi = 0 is degenerate; no roots returned")
         return []
     return list(_g_phase(ctx, xi).critical_points)
-
-
-def conjugate_phase_constant(d: int) -> float:
-    """The constant c_d = -((d+1)/d) * d^(-1/(d-1)) in the conjugate phase.
-
-    The local (critical point) part of the split carries the oscillation
-    c_d * lam^(-1/(d-1)) * xi^(d/(d-1)) with the signed-power convention
-    of signed_power.
-    """
-    return -((d + 1.0) / d) * d ** (-1.0 / (d - 1.0))
-
-
-def signed_power(xi: float, d: int) -> float:
-    """xi^(d/(d-1)): signed power for d even, absolute power for d odd."""
-    p = d / (d - 1.0)
-    if d % 2 == 0:
-        return math.copysign(abs(xi) ** p, xi)
-    return abs(xi) ** p
 
 
 def _g_phase(ctx: PhaseContext, xi: float) -> _PolynomialPhase:

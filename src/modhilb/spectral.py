@@ -97,16 +97,6 @@ class LambdaGrid:
             raise ValueError("n must be positive")
         return cls(tuple(i / n for i in range(n)), provenance=f"uniform({n})")
 
-    @classmethod
-    def dyadic(cls, j_min: int, j_max: int, per_slab: int) -> "LambdaGrid":
-        pts = set()
-        for j in range(j_min, j_max + 1):
-            lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-            for i in range(per_slab):
-                pts.add(lo + (hi - lo) * i / per_slab)
-        return cls(tuple(sorted(pts)),
-                   provenance=f"dyadic({j_min},{j_max},{per_slab})")
-
 
 # ---------------------------------------------------------------------------
 # transforms and multiplier application

@@ -126,6 +126,9 @@ class TestLightExperiments:
                                str(tmp_path))
         rep = run(cfg)
         assert rep.passed
+        # the JSON boolean true, not the string "True"
+        summary = json.loads((tmp_path / "carleson.summary.json").read_text())
+        assert summary["pass"] is True
 
     def test_hua_fit_small(self, tmp_path):
         cfg = ExperimentConfig("hua-fit", {"q_max": 60}, str(tmp_path))

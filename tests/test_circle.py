@@ -1,13 +1,15 @@
 """Tests for the circle-method approximants and error harnesses."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from modhilb.circle import (ApproxParams, L_j, L_js, L_js_full_enumeration,
-                            _contributing_centers, _exact_offset, error_Ej,
-                            major_box_error_scan, restricted_sup_outside_Xj)
+                            _all_centers, _contributing_centers, _exact_offset,
+                            error_Ej, major_box_error_scan,
+                            restricted_sup_outside_Xj)
 from modhilb.farey import xset_contains
 from modhilb.osc import H_j
 from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
@@ -42,10 +44,6 @@ class TestApproxParams:
         assert list(P2.s_range(1)) == []
         assert list(P2.s_range(10)) == [1, 2, 3, 4, 5, 6]
 
-    def test_xi_j_width_matches_xset(self):
-        for j in (4, 9, 13):
-            assert P2.xi_j_width(j) == P2.xset(j).width
-
 
 class TestExactOffset:
     def test_plain(self):
@@ -61,12 +59,29 @@ class TestExactOffset:
 
 class TestContributingCenters:
     def test_at_most_one_center(self):
+        # the full center set filtered by both cutoffs, compared exactly,
+        # at random points and at points within 1.3 radii of a center
         rng = np.random.Generator(np.random.Philox(17))
-        for _ in range(300):
-            lam, beta = rng.random(2)
-            for s in (1, 2, 3, 4):
-                centers = _contributing_centers(lam, beta, s, P2)
-                assert len(centers) <= 1
+        for s in (1, 2, 3, 4):
+            radius = P2.chi_s_radius(s)
+            centers = _all_centers(s)
+
+            def near(x, num, den):
+                if abs((x - num / den + 0.5) % 1.0 - 0.5) > 2.0 * radius:
+                    return False  # float reject, far from the edge
+                delta = Fraction(x) - Fraction(num, den)
+                return abs(delta - round(delta)) <= Fraction(radius)
+
+            points = [tuple(rng.random(2)) for _ in range(100)]
+            for _ in range(100):
+                A, B, Q = centers[rng.integers(len(centers))]
+                dl, db = rng.uniform(-1.3, 1.3, 2) * radius
+                points.append(((A / Q + dl) % 1.0, (B / Q + db) % 1.0))
+            for lam, beta in points:
+                expected = [(A, B, Q) for A, B, Q in centers
+                            if near(lam, A, Q) and near(beta, B, Q)]
+                assert len(expected) <= 1
+                assert _contributing_centers(lam, beta, s, P2) == expected
 
     def test_finds_nearby_center(self):
         eps = 0.25 * P2.chi_s_radius(2)
@@ -89,7 +104,7 @@ class TestLjs:
         db = _exact_offset(beta, 0, 1)
         expected = (H_j(dl, db, 10, 2, p.fam) * p.chi_s(dl, 1)
                     * p.chi_s(db, 1))
-        if abs(dl) > p.xi_j_width(10):
+        if abs(dl) > p.xset(10).width:
             expected = 0j
         assert val == pytest.approx(expected, abs=1e-12)
 
@@ -144,6 +159,13 @@ class TestErrorEj:
         lam = 0.3819660112501051  # outside X_12 and every cutoff
         assert not xset_contains(lam, P2.xset(12))
         assert error_Ej(lam, 0.77, 12, P2) == 0j
+
+    def test_zero_just_outside_xj(self):
+        # 2^-10 + 1.85e-17 from 1/3, just outside X_8 (width 2^-10): the
+        # Xi_j window and X_j make the same exact comparison
+        lam = 1 / 3 - 2 ** -10
+        assert not xset_contains(lam, P2.xset(8))
+        assert error_Ej(lam, 1 / 3, 8, P2) == 0j
 
     def test_zero_at_origin(self):
         assert abs(error_Ej(0.0, 0.0, 8, P2)) < 1e-10

@@ -2,16 +2,16 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modhilb.farey import (MajorBox, ReducedFraction, XSet, dirichlet_approx,
+from modhilb.farey import (ReducedFraction, XSet, dirichlet_approx,
                            dirichlet_approx_bruteforce, dyadic_width,
-                           farey_level, in_major_box, reduce, torus_distance,
-                           xset_contains)
+                           farey_neighbours, reduce, xset_contains)
 
 
 class TestReduce:
@@ -57,6 +57,14 @@ class TestDirichletApprox:
     def test_zero(self):
         assert dirichlet_approx(0.0, 7) == ReducedFraction(0, 1)
 
+    def test_nearer_neighbour_can_fail(self):
+        # 1/31 is the nearest fraction, but the inequality rejects it
+        lam = 0.016527635528529094
+        x = Fraction(lam)
+        nearest = min(farey_neighbours(x, 31), key=lambda f: abs(x - f))
+        assert nearest == Fraction(1, 31)
+        assert dirichlet_approx(lam, 31) == ReducedFraction(0, 1)
+
     def test_q_max_one_always_valid(self):
         assert dirichlet_approx(0.49, 1) == ReducedFraction(0, 1)
 
@@ -81,67 +89,34 @@ class TestDirichletApprox:
                 assert gap <= Fraction(1, rf.denominator * q_max)
 
 
-class TestFareyLevel:
-    def test_level_one(self):
-        assert farey_level(1) == [ReducedFraction(0, 1)]
-
-    def test_level_three(self):
-        assert farey_level(3) == [ReducedFraction(0, 1), ReducedFraction(1, 3),
-                                  ReducedFraction(1, 2), ReducedFraction(2, 3)]
-
-    def test_count_level_five(self):
-        # direct enumeration oracle: 1 + sum_{2<=k<=5} phi(k) = 10
-        assert len(farey_level(5)) == 10
-
-    def test_length_totient_formula(self):
-        def phi(n):
-            return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        for q in range(1, 30):
-            expected = 1 + sum(phi(k) for k in range(1, q + 1)) - phi(1)
-            assert len(farey_level(q)) == expected
-
-    def test_strictly_increasing(self):
-        vals = [f.as_fraction() for f in farey_level(17)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+@cache
+def _farey_bruteforce(q_max):
+    """Every a/q in [0, 1] with q <= q_max, ascending."""
+    return sorted({Fraction(a, q) for q in range(1, q_max + 1)
+                   for a in range(q + 1)})
 
 
-class TestMajorBox:
-    def box(self):
-        zero = ReducedFraction(0, 1)
-        return MajorBox(zero, zero, j=10, epsilon=0.1, d=2)
+class TestFareyNeighbours:
+    @given(st.one_of(
+               st.floats(min_value=0.0, max_value=1.0).map(Fraction),
+               st.integers(1, 64).flatmap(
+                   lambda q: st.integers(0, q).map(lambda a: Fraction(a, q))),
+               st.floats(min_value=0.0, max_value=1e-300).map(Fraction),
+               st.floats(min_value=1.0 - 1e-9, max_value=1.0).map(Fraction)),
+           st.integers(min_value=1, max_value=64))
+    @example(Fraction(5e-324), 7)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce_scan(self, x, q_max):
+        lo, hi = farey_neighbours(x, q_max)
+        level = _farey_bruteforce(q_max)
+        assert lo <= x <= hi
+        assert lo.denominator <= q_max and hi.denominator <= q_max
+        assert not any(lo < f < hi for f in level)
+        assert (lo == hi) == (x in level)
 
-    def test_center_inside(self):
-        assert in_major_box(0.0, 0.0, self.box())
-
-    def test_width_arithmetic(self):
-        # (eps - d) j = -19, so 2^-17 exceeds the lambda half-width
-        assert not in_major_box(2.0 ** -17, 0.0, self.box())
-        assert in_major_box(2.0 ** -20, 0.0, self.box())
-
-    def test_torus_wraparound(self):
-        assert in_major_box(1.0 - 2.0 ** -20, 0.0, self.box())
-
-    def test_denominator_bound_enforced(self):
+    def test_invalid_q_max(self):
         with pytest.raises(ValueError):
-            MajorBox(ReducedFraction(1, 3), ReducedFraction(0, 1),
-                     j=10, epsilon=0.1, d=2)
-
-    def test_disjointness_of_sampled_boxes(self):
-        # random (lam, beta) belong to at most one box over all Q <= 2^(eps j)
-        rng = np.random.Generator(np.random.Philox(5))
-        for j in range(10, 17):
-            q_bound = int(2.0 ** (0.05 * j))
-            boxes = []
-            for q in range(1, q_bound + 1):
-                for a in range(q):
-                    for b in range(q):
-                        if math.gcd(math.gcd(a, b), q) != 1:
-                            continue
-                        boxes.append(MajorBox(reduce(a, q), reduce(b, q),
-                                              j=j, epsilon=0.05, d=2))
-            for lam, beta in rng.random((50, 2)):
-                hits = sum(in_major_box(lam, beta, box) for box in boxes)
-                assert hits <= 1
+            farey_neighbours(Fraction(1, 3), 0)
 
 
 class TestXSet:
@@ -167,24 +142,33 @@ class TestXSet:
         for lam in rng.random(200):
             assert xset_contains(lam, xs) == xset_contains((1.0 - lam) % 1.0, xs)
 
+    def test_exact_at_interval_edge(self):
+        # this lambda lies 2^-7 + 1.7e-18 from 1/36, its nearest fraction
+        # with q <= 36, so it is just outside the width-2^-7 interval
+        xs = XSet(j=6, exponent_C=2.0, d=2)
+        assert xs.q_bound == 36 and xs.width == 2.0 ** -7
+        assert not xset_contains(1 / 36 - 2 ** -7, xs)
+
+    @given(st.integers(min_value=3, max_value=9),
+           st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                     st.tuples(st.integers(1, 81), st.floats(0.0, 1.0),
+                               st.sampled_from([-1.0, 1.0]))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_scan(self, j, point):
+        # lambda uniform, or a float at the edge of the interval at a/q
+        xs = XSet(j=j, exponent_C=2.0, d=2)
+        if isinstance(point, tuple):
+            q, u, sign = point
+            q = min(q, xs.q_bound)
+            point = (math.floor(u * q) / q + sign * xs.width) % 1.0
+        x = Fraction(point)
+        inside = any(abs(x - Fraction(a, q)) <= Fraction(xs.width)
+                     for q in range(1, xs.q_bound + 1)
+                     for a in (math.floor(x * q), math.floor(x * q) + 1))
+        assert xset_contains(point, xs) == inside
+
     def test_dyadic_width_rounding(self):
         assert dyadic_width(1, 2.0, 2) == 2.0 ** -2
         w = dyadic_width(12, 2.0, 2)
         target = 12 ** 2 * 2.0 ** -24
         assert 0.5 < w / target < 2.0
-
-
-class TestTorusDistance:
-    def test_plain(self):
-        assert torus_distance(0.25, 0.5) == 0.25
-
-    def test_wraparound(self):
-        assert torus_distance(0.95, 0.05) == pytest.approx(0.1)
-
-    @given(st.floats(min_value=0.0, max_value=1.0),
-           st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_and_symmetry(self, x, y):
-        dist = torus_distance(x, y)
-        assert 0.0 <= dist <= 0.5
-        assert dist == torus_distance(y, x)
