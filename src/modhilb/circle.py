@@ -28,7 +28,7 @@ from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_outputs,
 # circle calls no transform itself; dft and idft stay importable here
 # because the benchmark's tracer wraps them by name on this module
 from .spectral import dft, idft  # noqa: F401
-from .weyl import _complete_sum
+from .weyl import _complete_sum_row
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,6 @@ class ApproxParams:
         bound = j ** self.exponent_C
         s_max = int(math.floor(math.log2(bound))) if bound >= 2 else 0
         return range(1, s_max + 1)
-
-
-def _wrapped_offset(x: float, center: float) -> float:
-    """Signed torus difference x - center reduced to (-1/2, 1/2]."""
-    delta = (x - center) % 1.0
-    if delta > 0.5:
-        delta -= 1.0
-    return delta
 
 
 def _torus_offset(x: float, num: int, den: int) -> Fraction:
@@ -164,7 +156,7 @@ def _ljs_term(lam: float, beta: float, j: int, s: int, A: int, B: int, Q: int,
     cb = p.chi_s(db, s)
     if cl == 0.0 or cb == 0.0:
         return 0j
-    S = _complete_sum(A % Q, B % Q, Q, p.d)
+    S = _complete_sum_row(A, Q, p.d)[B % Q]
     return S * H_j(dl, db, j, p.d, p.fam, tol) * cl * cb
 
 
@@ -181,15 +173,12 @@ def L_js(lam: float, beta: float, j: int, s: int, p: ApproxParams,
 
 def L_js_full_enumeration(lam: float, beta: float, j: int, s: int,
                           p: ApproxParams, tol: float = 1e-10) -> complex:
-    """Slow oracle for L_js summing over the entire center set."""
-    total = 0j
-    for A, B, Q in _all_centers(s):
-        dl = _wrapped_offset(lam, A / Q)
-        db = _wrapped_offset(beta, B / Q)
-        if abs(dl) > p.chi_s_radius(s) or abs(db) > p.chi_s_radius(s):
-            continue
-        total += _ljs_term(lam, beta, j, s, A, B, Q, p, tol)
-    return total
+    """Slow oracle for L_js summing over the entire center set.
+
+    A center outside either cutoff contributes an exact 0.
+    """
+    return sum((_ljs_term(lam, beta, j, s, A, B, Q, p, tol)
+                for A, B, Q in _all_centers(s)), 0j)
 
 
 def L_j(lam: float, beta: float, j: int, p: ApproxParams,
@@ -235,11 +224,12 @@ def major_box_error_scan(j: int, p: ApproxParams, Q_max: int,
     boxes = 0
     for Q in range(1, Q_max + 1):
         for A in range(Q):
+            row = _complete_sum_row(A, Q, p.d)
             for B in range(Q):
                 if math.gcd(math.gcd(A, B), Q) != 1:
                     continue
                 boxes += 1
-                S = _complete_sum(A, B, Q, p.d)
+                S = row[B]
                 offsets = rng.uniform(-1.0, 1.0, size=(samples_per_box, 2))
                 offsets = np.vstack([offsets, [0.0, 0.0]])
                 for ol, ob in offsets:

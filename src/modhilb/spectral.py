@@ -21,7 +21,7 @@ import numpy as np
 
 from .farey import ReducedFraction, dirichlet_approx
 from .osc import DEFAULT_BUMPS, BumpFamily, psi_j
-from .weyl import _complete_sum
+from .weyl import _complete_sum_row
 
 TWO_PI = 2.0 * np.pi
 
@@ -181,29 +181,32 @@ def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return m, 1.0 / m
 
 
+def _symbol(lam: float, beta: float, taps, d: int) -> complex:
+    """sum_m w(m) e(-lam m^d - beta m) over the tap table taps = (m, w)."""
+    m, w = taps
+    phase = _reduced_phase(lam, beta, m, d)
+    return complex((w * np.exp(-2j * np.pi * phase)).sum())
+
+
 def multiplier_Mj(lam: float, beta: float, j: int, d: int,
                   fam: BumpFamily = DEFAULT_BUMPS) -> complex:
     """The j-th block: sum_m psi_j(m) e(-lam m^d - beta m)."""
-    m, weights = _block_taps(j, fam)
-    phase = _reduced_phase(lam, beta, m, d)
-    return complex((weights * np.exp(-2j * np.pi * phase)).sum())
+    return _symbol(lam, beta, _block_taps(j, fam), d)
 
 
 def multiplier_M(lam: float, beta: float, d: int, J: int,
                  fam: BumpFamily = DEFAULT_BUMPS) -> complex:
-    """The truncated symbol: blocks j = 1..J plus the exact |m| = 1 terms.
+    """The truncated symbol: sum_m w(m) e(-lam m^d - beta m), w the
+    kernel of _partition_taps.
 
-    The dyadic partition reproduces the kernel 1/m only for |m| >= 2, so
-    the two innermost terms e(-lam m^d - beta m)/m, m = +-1, are added
-    directly.  The total then matches the sharp kernel sum for every
+    w is the sum of the blocks psi_j, j = 1..J, which reproduces 1/m for
+    2 <= |m| <= 2^J, with 1/m itself at m = +-1, where the partition does
+    not reach.  The total matches the sharp kernel sum for every
     |m| <= 2^J, with the partition's smooth roll-off on (2^J, 2^(J+1)].
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    total = sum(multiplier_Mj(lam, beta, j, d, fam) for j in range(1, J + 1))
-    for m in (1, -1):
-        total += np.exp(-2j * np.pi * ((lam * m ** d + beta * m) % 1.0)) / m
-    return complex(total)
+    return _symbol(lam, beta, _partition_taps(J, fam), d)
 
 
 def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
@@ -299,12 +302,10 @@ def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
     a, q = aq.numerator, aq.denominator
     ap, qp = apqp.numerator, apqp.denominator
     Q = math.gcd(q, qp)
-    total = 0j
-    for c in range(Q):
-        r1 = _complete_sum(a, (c * (q // Q)) % q, q, d)
-        r2 = _complete_sum(ap, (c * (qp // Q)) % qp, qp, d)
-        total += r1 * np.conj(r2) * np.exp(2j * np.pi * c * w / Q)
-    return complex(total)
+    c = np.arange(Q)
+    r1 = _complete_sum_row(a, q, d)[c * (q // Q)]
+    r2 = _complete_sum_row(ap, qp, d)[c * (qp // Q)]
+    return complex((r1 * np.conj(r2) * np.exp(2j * np.pi * c * w / Q)).sum())
 
 
 def ttstar_ratio_scan(s_values: Sequence[int], d: int, n_pairs: int = 40,

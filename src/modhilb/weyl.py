@@ -7,10 +7,11 @@ The normalized complete sum
 its orthogonality and kernel identities, and the fit of its
 square-root cancellation in q (Hua's bound).
 
-Phases of complete sums are reduced mod q in exact integer arithmetic
-before the single transcendental call, so no drift accumulates even for
-large q.  The summation index runs 1..q; by periodicity this agrees with
-0..q-1 and with the r = 0..Q-1 convention used elsewhere.
+One routine computes complete sums: the row S(a/q, b/q), b = 0..q-1.
+The residues a r^d mod q are reduced in exact integer arithmetic before
+the single transcendental call, so no drift accumulates even for large
+q, and b enters through one length-q FFT.  The summation index runs
+1..q; by periodicity this agrees with 0..q-1, the order the FFT uses.
 """
 
 from __future__ import annotations
@@ -46,20 +47,6 @@ class WeylTriple:
             raise ValueError("need gcd(a, b, q) = 1")
 
 
-def _complete_sum(a: int, b: int, q: int, d: int) -> complex:
-    """(1/q) sum_{r=1..q} e(-(a/q) r^d - (b/q) r); no normalization checks.
-
-    The integer phase a*r^d + b*r is reduced mod q exactly per term.
-    """
-    ks = np.array([(a * pow(r, d, q) + b * r) % q for r in range(1, q + 1)])
-    return complex(np.exp(-2j * np.pi * ks / q).sum() / q)
-
-
-def complete_weyl_sum(t: WeylTriple) -> complex:
-    """The normalized complete Gauss sum S(a/q, b/q)."""
-    return _complete_sum(t.a, t.b, t.q, t.d)
-
-
 def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
     """S(a/q, b/q) for all b = 0..q-1 at once, via a length-q DFT.
 
@@ -70,6 +57,21 @@ def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
     ks = (a * rd) % q
     x = np.exp(-2j * np.pi * ks / q)
     return np.fft.fft(x) / q
+
+
+def complete_weyl_sum(t: WeylTriple) -> complex:
+    """The normalized complete Gauss sum S(a/q, b/q)."""
+    return complex(_complete_sum_row(t.a, t.q, t.d)[t.b])
+
+
+def _admissible_max(a: int, q: int, d: int) -> tuple[float, int]:
+    """max |S(a/q, b/q)| over the b with gcd(a, b, q) = 1, and their count.
+
+    b = 1 is always admissible, so for q >= 2 the set is never empty.
+    """
+    admissible = np.gcd(math.gcd(a, q), np.arange(q)) == 1
+    row = np.abs(_complete_sum_row(a, q, d))
+    return float(row[admissible].max()), int(admissible.sum())
 
 
 def weyl_orthogonality_scan(q_max: int, d: int) -> dict:
@@ -83,17 +85,11 @@ def weyl_orthogonality_scan(q_max: int, d: int) -> dict:
     max_abs = 0.0
     count = 0
     for q in range(2, q_max + 1):
-        b_arr = np.arange(q)
         for a in range(q):
-            g = math.gcd(a, q)
-            if g <= 1:
-                continue
-            admissible = np.gcd(g, np.gcd(b_arr, q)) == 1
-            if not admissible.any():
-                continue
-            row = np.abs(_complete_sum_row(a, q, d))
-            max_abs = max(max_abs, float(row[admissible].max()))
-            count += int(admissible.sum())
+            if math.gcd(a, q) > 1:
+                peak, cases = _admissible_max(a, q, d)
+                max_abs = max(max_abs, peak)
+                count += cases
     return {"q_max": q_max, "d": d, "max_abs": max_abs, "count": count}
 
 
@@ -123,16 +119,7 @@ def hua_exponent_fit(q_max: int, d: int) -> tuple[float, float]:
         raise ValueError("q_max must be >= 8")
     qs, maxima = [], []
     for q in range(2, q_max + 1):
-        b_arr = np.arange(q)
-        gb = np.gcd(b_arr, q)
-        best = 0.0
-        for a in range(q):
-            g = math.gcd(a, q)
-            admissible = np.gcd(g, gb) == 1
-            if not admissible.any():
-                continue
-            row = np.abs(_complete_sum_row(a, q, d))
-            best = max(best, float(row[admissible].max()))
+        best = max(_admissible_max(a, q, d)[0] for a in range(q))
         if best > 0.0:
             qs.append(q)
             maxima.append(best)
