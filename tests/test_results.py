@@ -2,10 +2,11 @@
 committed CSV in tests/results/.
 
 A change that moves a reported number re-records the CSV in the same
-change (`python tests/test_results.py`), so the diff shows the moved
-cells.
+change (`PYTHONPATH=src python tests/test_results.py`), so the diff
+shows the moved cells.
 """
 
+import csv
 import json
 import math
 import re
@@ -49,7 +50,7 @@ def _record(name: str, out_dir) -> bool:
 
 
 def _rows(path: Path) -> list[list[str]]:
-    return [line.split(",") for line in path.read_text().splitlines()]
+    return list(csv.reader(path.read_text().splitlines()))
 
 
 def _cell_moved(got: str, want: str, floor: float) -> bool:

@@ -17,6 +17,7 @@ from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
                               oscillation_sum, r_variation,
                               r_variation_bruteforce, ttstar_frequency_factor,
                               ttstar_ratio_scan)
+from test_weyl import naive_complete_sum
 
 
 class TestSignal:
@@ -264,6 +265,24 @@ class TestTTStarKs:
         aq = ReducedFraction(3, 8)
         val = ttstar_frequency_factor(aq, aq, 0, 2)
         assert val == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("aq, apqp, w, d", [
+        pytest.param((3, 8), (5, 12), 1, 2, id="3/8-5/12"),
+        pytest.param((5, 16), (3, 28), 3, 2, id="5/16-3/28"),
+        pytest.param((1, 9), (2, 27), 4, 3, id="1/9-2/27-cubic"),
+    ])
+    def test_frequency_factor_off_diagonal(self, aq, apqp, w, d):
+        # distinct denominators and w != 0, the pairs the ratio scan
+        # draws: the docstring formula summed directly
+        (a, q), (ap, qp) = aq, apqp
+        Q = math.gcd(q, qp)
+        want = sum(naive_complete_sum(a, c * (q // Q), q, d)
+                   * naive_complete_sum(ap, c * (qp // Q), qp, d).conjugate()
+                   * cmath.exp(2j * cmath.pi * c * w / Q) for c in range(Q))
+        assert abs(want) > 0.1
+        got = ttstar_frequency_factor(ReducedFraction(a, q),
+                                      ReducedFraction(ap, qp), w, d)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_ratio_scan_shape(self):
         rep = ttstar_ratio_scan([2, 3], 2, n_pairs=8, seed=0)
