@@ -308,7 +308,8 @@ def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,
     """l2 norm of the grid-sup of |M_j(lam, .) applied to f|, lam outside X_j.
 
     The grid is filtered to lambda outside X_j; an empty filtered grid
-    returns 0.  The result is normalized by the l2 norm of f.
+    returns 0.  The result is normalized by the l2 norm of f.  It aliases
+    once f's support + 2^(j+2) exceeds ring_size, as in acceptance 10.
     """
     xs = p.xset(j)
     lams = [lam for lam in grid.points if not xset_contains(lam, xs)]

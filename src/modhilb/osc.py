@@ -28,8 +28,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature exhausts its panel budget.

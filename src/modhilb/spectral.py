@@ -23,8 +23,6 @@ from .farey import ReducedFraction, dirichlet_approx
 from .osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from .weyl import _complete_sum_row
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass
 class Signal:
@@ -139,15 +137,23 @@ def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
 # ---------------------------------------------------------------------------
 # the multipliers
 
-def _frac(x: np.ndarray) -> np.ndarray:
-    return x - np.floor(x)
+def _phase(x: float, m: np.ndarray, d: int) -> np.ndarray:
+    """(x m^d) mod 1 in [-1/2, 1/2] for finite x; ValueError if |m|^d >= 2^63.
 
-
-def _reduced_phase(lam: float, beta: float, m: np.ndarray, d: int) -> np.ndarray:
-    """(lam m^d + beta m) mod 1 in extended precision."""
-    ml = m.astype(np.longdouble)
-    phase = _frac(np.longdouble(lam) * ml ** d) + _frac(np.longdouble(beta) * ml)
-    return _frac(phase).astype(np.float64)
+    Payne and Hanek's exact reduction, cut to one 64-bit word: x = hi
+    2^-64 + lo with hi = floor(x 2^64) and 0 <= lo < 2^-64, so hi m^d
+    mod 2^64 is numpy's wrapping uint64 product, read as a signed word,
+    and lo m^d is below 1/2 in size.
+    """
+    if m.size and int(np.abs(m).max()) ** d >= 2 ** 63:
+        raise ValueError("|m|^d must be below 2^63")
+    num, den = float(x).as_integer_ratio()  # den is a power of two
+    hi = (num << 64) // den
+    lo = x - math.ldexp(hi, -64) if den > 2 ** 64 else 0.0
+    md = m ** d
+    word = (md.astype(np.uint64) * np.uint64(hi % 2 ** 64)).view(np.int64)
+    t = word * 2.0 ** -64 + lo * md
+    return t - np.rint(t)
 
 
 def _taps_between(lo: int, hi: int) -> np.ndarray:
@@ -184,7 +190,7 @@ def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
 def _symbol(lam: float, beta: float, taps, d: int) -> complex:
     """sum_m w(m) e(-lam m^d - beta m) over the tap table taps = (m, w)."""
     m, w = taps
-    phase = _reduced_phase(lam, beta, m, d)
+    phase = _phase(lam, m, d) + _phase(beta, m, 1)
     return complex((w * np.exp(-2j * np.pi * phase)).sum())
 
 
@@ -219,15 +225,10 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
     """
     m, w = taps
     idx = m % ring_size
-    powers = m.astype(np.longdouble) ** d
     fhat = dft(_embed_on_ring(f, ring_size))
     for lam in lams:
-        # _reduced_phase(lam, 0.0, m, d) with m^d computed once: a
-        # fraction that rounded up to 1 (tiny lam, negative m^d) is 0
-        phase = _frac(np.longdouble(lam) * powers)
-        phase[phase == 1] = 0
         ker = np.zeros(ring_size, dtype=complex)
-        np.add.at(ker, idx, w * np.exp(-2j * np.pi * phase.astype(np.float64)))
+        np.add.at(ker, idx, w * np.exp(-2j * np.pi * _phase(lam, m, d)))
         yield idft(fhat * dft(ker))
 
 
@@ -273,11 +274,9 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
         raise ValueError("empty modulation grid")
     ring = _embed_on_ring(f, ring_size)
     acc = np.zeros(ring_size)
-    ms = np.arange(1, M_radius + 1, dtype=np.int64)
-    ms = np.concatenate([-ms[::-1], ms])
+    ms = _taps_between(1, M_radius)
     for lam in grid.points:
-        phase = _reduced_phase(lam, 0.0, ms, d)
-        coeff = np.exp(-2j * np.pi * phase) / ms
+        coeff = np.exp(-2j * np.pi * _phase(lam, ms, d)) / ms
         out = np.zeros(ring_size, dtype=complex)
         for m, c in zip(ms, coeff):
             out += c * np.roll(ring, int(m))
@@ -400,7 +399,9 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
     intervals must be strictly decreasing (the dyadic schedule runs
     toward lambda = 0).  C_lam is the truncated modulated Hilbert
     transform with kernel radius min(2^(J+1), ring_size/4), applied
-    circularly.  The per-interval grid is geometric between hi and lo.
+    circularly on purpose: it models the rotation x -> x+1 on Z/N, a
+    measure-preserving system.  The per-interval grid is geometric
+    between hi and lo.
     """
     if grid_per_interval < 1:
         raise ValueError("grid_per_interval must be >= 1")

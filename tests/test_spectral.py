@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhilb.farey import ReducedFraction
 from modhilb.osc import DEFAULT_BUMPS
-from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
-                              carleson_apply, carleson_direct_oracle, dft,
-                              idft, multiplier_M, multiplier_Mj,
+from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _phase,
+                              apply_multiplier, carleson_apply,
+                              carleson_direct_oracle, dft, idft,
+                              multiplier_M, multiplier_Mj,
                               oscillation_sum, r_variation,
                               r_variation_bruteforce, ttstar_frequency_factor,
                               ttstar_ratio_scan)
@@ -147,6 +148,42 @@ class TestApplyMultiplier:
                 assert np.allclose(out.values, expected, atol=1e-9)
 
 
+def _torus_distance(got: float, exact: Fraction) -> float:
+    diff = Fraction(got) - exact
+    return abs(float(diff - round(diff)))
+
+
+# the largest |m| with |m|^d < 2^63
+_M_MAX = {2: 3037000499, 3: 2097151, 4: 55108}
+
+
+class TestPhase:
+    @given(st.one_of(
+               st.sampled_from([0.0, 1.0, 1.3, -0.3, 1.0 - 2.0 ** -53,
+                                2.0 ** -70, 1e-30, 5e-324]),
+               st.floats(min_value=-1.0, max_value=1.0),
+               st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from([-1.0, 1.0]),
+                         st.floats(min_value=-320.0, max_value=3.0)),
+               st.floats(allow_nan=False, allow_infinity=False)),
+           st.sampled_from([2, 3, 4]).flatmap(lambda d: st.tuples(
+               st.just(d), st.lists(st.integers(-_M_MAX[d], _M_MAX[d]),
+                                    min_size=1, max_size=20))))
+    @example(-5e-324, (3, [-_M_MAX[3], -1, 1, _M_MAX[3]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle(self, x, d_and_ms):
+        d, ms = d_and_ms
+        got = _phase(x, np.array(ms, dtype=np.int64), d)
+        assert np.all(np.abs(got) <= 0.5)
+        for m, g in zip(ms, got.tolist()):
+            assert _torus_distance(g, Fraction(x) * m ** d) <= 4.5e-16
+
+    def test_power_bound_is_exact(self):
+        _phase(0.3, np.array([-_M_MAX[4]]), 4)
+        with pytest.raises(ValueError):
+            _phase(0.3, np.array([_M_MAX[4] + 1]), 4)
+
+
 class TestMultipliers:
     def test_mj_zero_at_origin(self):
         assert abs(multiplier_Mj(0.0, 0.0, 4, 2)) < 1e-13
@@ -161,6 +198,22 @@ class TestMultipliers:
         val = multiplier_Mj(0.25, 1.0 / 3.0, 5, 2)
         assert val.real == pytest.approx(0.0002899427366037144, abs=1e-12)
         assert val.imag == pytest.approx(-0.0002580566608997865, abs=1e-12)
+
+    @pytest.mark.parametrize("lam, beta", [(0.7310585786300049, 0.1),
+                                           (0.123456789, 0.6180339887498949)])
+    def test_mj_matches_exact_phases_at_j12_cubic(self, lam, beta):
+        # m^3 reaches 2^39 at j = 12: the tap sum with Fraction phases
+        m, w = _block_taps(12)
+        want = 0j
+        for mi, wi in zip(m.tolist(), w.tolist()):
+            ph = Fraction(lam) * mi ** 3 + Fraction(beta) * mi
+            want += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
+        assert abs(multiplier_Mj(lam, beta, 12, 3) - want) <= 1e-13
+
+    def test_mj_power_beyond_int64_rejected(self):
+        # m^5 reaches 2^65 at j = 12
+        with pytest.raises(ValueError):
+            multiplier_Mj(0.3, 0.1, 12, 5)
 
     def test_m_zero_at_origin(self):
         assert abs(multiplier_M(0.0, 0.0, 2, 6)) < 1e-12
