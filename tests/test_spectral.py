@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from modhilb.farey import ReducedFraction
 from modhilb.osc import DEFAULT_BUMPS
-from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _phase,
-                              apply_multiplier, carleson_apply,
+from modhilb.spectral import (LambdaGrid, Signal, _block_taps,
+                              _modulated_outputs, _partition_taps, _phase,
+                              _sharp_taps, apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
                               oscillation_sum, r_variation,
@@ -294,6 +295,17 @@ class TestCarleson:
         slow = carleson_direct_oracle(f, grid, 2, 2 ** (J + 1), N)
         assert np.allclose(fast.values, slow.values, atol=1e-9)
 
+    def test_sharp_matches_direct_oracle_cubic_over_chunks(self):
+        # odd d takes the conjugate mirror of the taps; 9 lambdas on
+        # 2^14 points run in chunks of 4, 4 and 1
+        N, radius = 2 ** 14, 32
+        rng = np.random.Generator(np.random.Philox(16))
+        f = Signal(5, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        grid = LambdaGrid(tuple(np.sort(rng.random(9))))
+        fast = carleson_apply(f, grid, 3, 4, N, kernel="sharp", radius=radius)
+        slow = carleson_direct_oracle(f, grid, 3, radius, N)
+        assert np.max(np.abs(fast.values - slow.values)) <= 1e-9
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_partition_matches_symbol_at_one_lambda(self, d):
         # the partition kernel is the spatial form of multiplier_M
@@ -310,6 +322,34 @@ class TestCarleson:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             carleson_direct_oracle(Signal.delta(0), LambdaGrid(()), 2, 8, 64)
+
+
+class TestModulatedOutputs:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("taps", [_block_taps(12), _partition_taps(10),
+                                      _sharp_taps(300)],
+                             ids=["block", "partition", "sharp"])
+    def test_batching_changes_no_row(self, taps, d):
+        # 11 lambdas on 2^14 points run in chunks of 4, 4 and 3; the
+        # reference builds each kernel alone from every tap's phase
+        N = 2 ** 14
+        rng = np.random.Generator(np.random.Philox(17))
+        f = Signal(0, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        lams = rng.random(11).tolist()
+        m, w = taps
+        fhat = dft(np.concatenate([f.values, np.zeros(N - 256)]))
+        got = list(_modulated_outputs(f, lams, taps, d, N))
+        assert len(got) == len(lams)
+        for lam, out in zip(lams, got):
+            ker = np.zeros(N, dtype=complex)
+            np.add.at(ker, m % N, w * np.exp(-2j * np.pi * _phase(lam, m, d)))
+            assert np.max(np.abs(out - idft(fhat * dft(ker)))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [[-2, -1, 1], [-3, -1, 1, 2], [1, 2, 3, 4]])
+    def test_asymmetric_taps_rejected(self, m):
+        taps = (np.array(m), np.ones(len(m)))
+        with pytest.raises(ValueError, match="laid out"):
+            list(_modulated_outputs(Signal.delta(0), [0.3], taps, 2, 64))
 
 
 class TestTTStarKs:
