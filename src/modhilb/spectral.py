@@ -100,7 +100,7 @@ class LambdaGrid:
 # transforms and multiplier application
 
 def dft(values: np.ndarray) -> np.ndarray:
-    """Forward transform, kernel e(-beta n), beta = t/N, on the last axis."""
+    """Forward transform with kernel e(-beta n), beta = t/N."""
     return np.fft.fft(np.asarray(values, dtype=complex))
 
 
@@ -137,10 +137,9 @@ def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
 # ---------------------------------------------------------------------------
 # the multipliers
 
-def _phase(x: float | Sequence[float], m: np.ndarray, d: int) -> np.ndarray:
+def _phase(x: float, m: np.ndarray, d: int) -> np.ndarray:
     """(x m^d) mod 1 in [-1/2, 1/2] for finite x; ValueError if |m|^d >= 2^63.
 
-    x is a float, or an array of floats with one row of m per entry.
     Payne and Hanek's exact reduction, cut to one 64-bit word: x = hi
     2^-64 + lo with hi = floor(x 2^64) and 0 <= lo < 2^-64, so hi m^d
     mod 2^64 is numpy's wrapping uint64 product, read as a signed word,
@@ -148,16 +147,12 @@ def _phase(x: float | Sequence[float], m: np.ndarray, d: int) -> np.ndarray:
     """
     if m.size and int(np.abs(m).max()) ** d >= 2 ** 63:
         raise ValueError("|m|^d must be below 2^63")
-    his, los = [], []
-    for xi in np.ravel(x).tolist():
-        num, den = xi.as_integer_ratio()  # den is a power of two
-        hi = (num << 64) // den
-        his.append(hi % 2 ** 64)
-        los.append(xi - math.ldexp(hi, -64) if den > 2 ** 64 else 0.0)
-    col = np.shape(x) + (1,)
+    num, den = float(x).as_integer_ratio()  # den is a power of two
+    hi = (num << 64) // den
+    lo = x - math.ldexp(hi, -64) if den > 2 ** 64 else 0.0
     md = m ** d
-    word = md.astype(np.uint64) * np.array(his, np.uint64).reshape(col)
-    t = word.view(np.int64) * 2.0 ** -64 + np.reshape(los, col) * md
+    word = (md.astype(np.uint64) * np.uint64(hi % 2 ** 64)).view(np.int64)
+    t = word * 2.0 ** -64 + lo * md
     return t - np.rint(t)
 
 
@@ -220,10 +215,6 @@ def multiplier_M(lam: float, beta: float, d: int, J: int,
     return _symbol(lam, beta, _partition_taps(J, fam), d)
 
 
-# ring points per stack of modulated kernels, about 1 MB of complex values
-_BATCH_POINTS = 2 ** 16
-
-
 def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
                        ring_size: int):
     """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
@@ -232,7 +223,6 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
     _*_taps builders), laid out as [-pos[::-1], pos], so e(-lam m^d) on
     -pos is its value on pos reversed, and conjugated for odd d.  f is
     embedded and transformed once; taps beyond the ring wrap and add up.
-    Each chunk of _BATCH_POINTS // ring_size lams is one kernel stack.
     """
     m, w = taps
     pos = m[len(m) // 2:]
@@ -240,15 +230,12 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
         raise ValueError("taps must be laid out as [-pos[::-1], pos]")
     idx = m % ring_size
     fhat = dft(_embed_on_ring(f, ring_size))
-    g = max(1, _BATCH_POINTS // ring_size)
-    for start in range(0, len(lams), g):
-        e_pos = np.exp(-2j * np.pi * _phase(lams[start:start + g], pos, d))
-        e_neg = e_pos[:, ::-1] if d % 2 == 0 else e_pos[:, ::-1].conj()
-        coeff = w * np.concatenate([e_neg, e_pos], axis=1)
-        ker = np.zeros((len(coeff), ring_size), dtype=complex)
-        for row, c in zip(ker, coeff):
-            np.add.at(row, idx, c)
-        yield from idft(fhat * dft(ker))
+    for lam in lams:
+        e_pos = np.exp(-2j * np.pi * _phase(lam, pos, d))
+        e_neg = e_pos[::-1] if d % 2 == 0 else e_pos[::-1].conj()
+        ker = np.zeros(ring_size, dtype=complex)
+        np.add.at(ker, idx, w * np.concatenate([e_neg, e_pos]))
+        yield idft(fhat * dft(ker))
 
 
 # ---------------------------------------------------------------------------

@@ -295,9 +295,8 @@ class TestCarleson:
         slow = carleson_direct_oracle(f, grid, 2, 2 ** (J + 1), N)
         assert np.allclose(fast.values, slow.values, atol=1e-9)
 
-    def test_sharp_matches_direct_oracle_cubic_over_chunks(self):
-        # odd d takes the conjugate mirror of the taps; 9 lambdas on
-        # 2^14 points run in chunks of 4, 4 and 1
+    def test_sharp_matches_direct_oracle_cubic(self):
+        # odd d takes the conjugate mirror of the taps
         N, radius = 2 ** 14, 32
         rng = np.random.Generator(np.random.Philox(16))
         f = Signal(5, rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -329,9 +328,9 @@ class TestModulatedOutputs:
     @pytest.mark.parametrize("taps", [_block_taps(12), _partition_taps(10),
                                       _sharp_taps(300)],
                              ids=["block", "partition", "sharp"])
-    def test_batching_changes_no_row(self, taps, d):
-        # 11 lambdas on 2^14 points run in chunks of 4, 4 and 3; the
-        # reference builds each kernel alone from every tap's phase
+    def test_mirrored_taps_change_no_row(self, taps, d):
+        # the loop takes phases on the positive taps only; the reference
+        # builds each kernel from every tap's phase
         N = 2 ** 14
         rng = np.random.Generator(np.random.Philox(17))
         f = Signal(0, rng.standard_normal(256) + 1j * rng.standard_normal(256))
