@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -186,16 +186,19 @@ def _panel_batch(g, n_out: int, lo: np.ndarray,
     return res_k, err
 
 
-def _adaptive_oscillatory(phase, g, n_out: int, support: tuple[float, float],
+def _adaptive_oscillatory(phase, g, n_out: int, support: Sequence[float],
                           tol: float, panel_budget: int) -> np.ndarray:
     """Shared-panel adaptive core behind oscillatory_quadrature.
 
     Integrates the n_out stacked integrands produced by g over [a, b] on
     one common panel layout, refining until every component meets the
-    absolute tolerance.  On budget exhaustion raises QuadratureError
-    whose estimate is the length-n_out vector achieved so far.
+    absolute tolerance.  support is the sorted breakpoint sequence
+    a, ..., b; the inner breakpoints, where the integrands may lose
+    smoothness, are edges of the first panels.  On budget exhaustion
+    raises QuadratureError whose estimate is the length-n_out vector
+    achieved so far.
     """
-    a, b = float(support[0]), float(support[1])
+    a, b = float(support[0]), float(support[-1])
     if not b > a:
         return np.zeros(n_out, dtype=complex)
 
@@ -221,7 +224,7 @@ def _adaptive_oscillatory(phase, g, n_out: int, support: tuple[float, float],
     else:
         osc_edges = np.array([a, b])
     base_edges = np.linspace(a, b, 17)
-    edges = np.unique(np.concatenate([osc_edges, base_edges, [a, b]]))
+    edges = np.unique(np.concatenate([osc_edges, base_edges, support]))
 
     lo_e, hi_e = edges[:-1], edges[1:]
     vals, err = _panel_batch(g, n_out, lo_e, hi_e)
@@ -287,15 +290,18 @@ def _oscillating_factor(phase, t):
 
 
 def oscillatory_quadrature(phase: Callable, amplitude: Callable,
-                           support: tuple[float, float], tol: float = 1e-10,
+                           support: Sequence[float], tol: float = 1e-10,
                            panel_budget: int = 2 ** 18) -> complex:
     """Evaluate int e(phase(t)) amplitude(t) dt over [a, b] adaptively.
 
-    Panels are first laid out so that no panel spans more than a quarter
-    of the local oscillation period (the period is estimated from
-    |phase'| by centered differences on a fine midpoint grid), then
-    refined by bisection wherever the embedded Gauss-Kronrod 7/15 error
-    estimate indicates the absolute error budget is not yet met.
+    support is (a, b), or a sorted breakpoint sequence (a, ..., b) whose
+    inner points, where the amplitude may lose smoothness, start as
+    panel edges.  Panels are first laid out so that no panel spans more
+    than a quarter of the local oscillation period (the period is
+    estimated from |phase'| by centered differences on a fine midpoint
+    grid), then refined by bisection wherever the embedded Gauss-Kronrod
+    7/15 error estimate indicates the absolute error budget is not yet
+    met.
 
     Both callables must accept numpy arrays.  Raises QuadratureError,
     carrying the achieved estimate, if the panel budget is exhausted.
@@ -478,39 +484,51 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     weights maps a node array to an (n_out, nodes) real stack, or is
     None for the single weight 1; the common factor is evaluated once per
     node and shared, so the cost of n_out integrals is close to the cost
-    of one.  Above LEVIN_MIN_CYCLES of phase variation the Levin core
-    integrates on panels broken at psi's joints, the critical points and
-    the given breakpoints, where the weights may lose smoothness; below
-    it the Gauss-Kronrod core does, on each half of the support.  A
-    QuadratureError carries factor times the estimate over all of supp
-    psi, so it estimates the value a successful call would return.
+    of one.  Both cores start from panels broken at psi's joints, the
+    critical points and the given breakpoints, where the weights may
+    lose smoothness.  Above LEVIN_MIN_CYCLES of phase variation the
+    Levin core integrates over both halves of supp psi.  Below it the
+    Gauss-Kronrod core integrates over [1/2, 2] twice: psi is odd, so
+    the left half is minus the integral of psi(u) e(phase(-u)) w(-u).
+    Hence for w = 1, an even d and Y = 0 the two halves agree bit for
+    bit and the result is exactly 0.  A QuadratureError carries factor
+    times the estimate over all of supp psi, so it estimates the value a
+    successful call would return.
     """
-    def stack(base, t):
-        return base[None, :] if weights is None else base[None, :] * weights(t)
+    def stack(base, t, sign=1.0):
+        if weights is None:
+            return base[None, :]
+        return base[None, :] * weights(sign * t)
 
+    cuts = (*_PSI_JOINTS, *phase.critical_points, *breakpoints)
+    left, right = [np.unique([a, b, *(c for c in cuts if a < c < b)])
+                   for a, b in _PSI_SUPPORT]
     if sum(phase.variation(a, b) for a, b in _PSI_SUPPORT) > LEVIN_MIN_CYCLES:
-        cuts = (*_PSI_JOINTS, *phase.critical_points, *breakpoints)
-        edges = [np.unique([a, b, *(c for c in cuts if a < c < b)])
-                 for a, b in _PSI_SUPPORT]
-        parts = [lambda: _adaptive_levin(phase, lambda t: stack(fam.psi(t), t),
-                                         n_out, edges, tol, panel_budget)]
+        parts = [(1.0, lambda: _adaptive_levin(
+            phase, lambda t: stack(fam.psi(t), t), n_out, [left, right],
+            tol, panel_budget))]
     else:
-        def g(t):
-            return stack(_oscillating_factor(phase, t) * fam.psi(t), t)
+        def half(ph, sign, edges):
+            def g(u):
+                return stack(_oscillating_factor(ph, u) * fam.psi(u), u, sign)
 
-        parts = [lambda ab=ab: _adaptive_oscillatory(phase, g, n_out, ab,
-                                                     tol / 2, panel_budget)
-                 for ab in _PSI_SUPPORT]
+            return sign, lambda: _adaptive_oscillatory(ph, g, n_out, edges,
+                                                       tol / 2, panel_budget)
+
+        # phase(-u) = -((-1)^d X u^d - Y u)
+        mirror = _PolynomialPhase((-1) ** phase.d * phase.X, -phase.Y,
+                                  phase.d)
+        parts = [half(mirror, -1.0, -left[::-1]), half(phase, 1.0, right)]
 
     total = np.zeros(n_out, dtype=complex)
     failure = None
-    for part in parts:
+    for sign, part in parts:
         try:
-            total += part()
+            total += sign * part()
         except QuadratureError as exc:
             # go on to the other half, so the estimate covers supp psi
             failure = failure or exc
-            total += exc.estimate
+            total += sign * exc.estimate
     if failure is not None:
         raise QuadratureError(str(failure), factor * total) from None
     return factor * total

@@ -156,42 +156,72 @@ def _phase(x: float, m: np.ndarray, d: int) -> np.ndarray:
     return t - np.rint(t)
 
 
-def _taps_between(lo: int, hi: int) -> np.ndarray:
-    """The integers m with lo <= |m| <= hi, ascending."""
-    pos = np.arange(lo, hi + 1, dtype=np.int64)
-    return np.concatenate([-pos[::-1], pos])
+def _odd_taps(pos: np.ndarray,
+              w_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd kernel with weights w_pos on pos, as [-pos[::-1], pos]."""
+    return (np.concatenate([-pos[::-1], pos]),
+            np.concatenate([-w_pos[::-1], w_pos]))
+
+
+def _positive_half(taps) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, w on pos) of an odd tap table laid out as [-pos[::-1], pos].
+
+    Raises ValueError on any other layout, or on weights that are not
+    exactly odd.
+    """
+    m, w = taps
+    half = len(m) // 2
+    pos, w_pos = m[half:], w[half:]
+    if not np.array_equal(m[:half], -pos[::-1]):
+        raise ValueError("taps must be laid out as [-pos[::-1], pos]")
+    if not np.array_equal(w[:half], -w_pos[::-1]):
+        raise ValueError("tap weights must be odd, w(-m) = -w(m)")
+    return pos, w_pos
 
 
 def _block_taps(j: int,
                 fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of M_j: psi_j(m) on the support of psi_j."""
-    m = _taps_between(2 ** (j - 1), 2 ** (j + 1))
-    return m, psi_j(m.astype(float), j, fam)
+    pos = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1, dtype=np.int64)
+    return _odd_taps(pos, psi_j(pos.astype(float), j, fam))
 
 
 def _partition_taps(J: int,
                     fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1."""
-    m = _taps_between(1, 2 ** (J + 1))
-    w = np.zeros(len(m))
+    pos = np.arange(1, 2 ** (J + 1) + 1, dtype=np.int64)
+    w = np.zeros(len(pos))
     for j in range(1, J + 1):
-        w += psi_j(m.astype(float), j, fam)
-    unit = np.abs(m) == 1
-    w[unit] = 1.0 / m[unit]
-    return m, w
+        w += psi_j(pos.astype(float), j, fam)
+    w[0] = 1.0
+    return _odd_taps(pos, w)
 
 
 def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact kernel 1/m, 0 < |m| <= radius."""
-    m = _taps_between(1, radius)
-    return m, 1.0 / m
+    pos = np.arange(1, radius + 1, dtype=np.int64)
+    return _odd_taps(pos, 1.0 / pos)
 
 
 def _symbol(lam: float, beta: float, taps, d: int) -> complex:
-    """sum_m w(m) e(-lam m^d - beta m) over the tap table taps = (m, w)."""
-    m, w = taps
-    phase = _phase(lam, m, d) + _phase(beta, m, 1)
-    return complex((w * np.exp(-2j * np.pi * phase)).sum())
+    """sum_m w(m) e(-lam m^d - beta m) over the odd tap table taps = (m, w).
+
+    Summed over the positive taps: the pair +-m gives
+    -2i w(m) e(-lam m^d) sin(2 pi beta m) for d even, and
+    -2i w(m) sin(2 pi (lam m^d + beta m)) for d odd.
+    """
+    pos, w = _positive_half(taps)
+    lam_ph = _phase(lam, pos, d)
+    beta_ph = _phase(beta, pos, 1)
+    if d % 2 == 0:
+        # by real and imaginary part: a complex exp costs more than cos
+        # and sin together
+        ws = w * np.sin(2.0 * np.pi * beta_ph)
+        arg = 2.0 * np.pi * lam_ph
+        return complex(-2.0 * (ws * np.sin(arg)).sum(),
+                       -2.0 * (ws * np.cos(arg)).sum())
+    terms = w * np.sin(2.0 * np.pi * (lam_ph + beta_ph))
+    return complex(0.0, -2.0 * terms.sum())
 
 
 def multiplier_Mj(lam: float, beta: float, j: int, d: int,
@@ -220,14 +250,13 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
     """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
 
     taps = (m, w) is the kernel's lambda-independent tap table (the
-    _*_taps builders), laid out as [-pos[::-1], pos], so e(-lam m^d) on
-    -pos is its value on pos reversed, and conjugated for odd d.  f is
-    embedded and transformed once; taps beyond the ring wrap and add up.
+    _*_taps builders), odd and laid out as [-pos[::-1], pos], so
+    e(-lam m^d) on -pos is its value on pos reversed, and conjugated for
+    odd d.  f is embedded and transformed once; taps beyond the ring wrap
+    and add up.
     """
     m, w = taps
-    pos = m[len(m) // 2:]
-    if not np.array_equal(m[:len(m) // 2], -pos[::-1]):
-        raise ValueError("taps must be laid out as [-pos[::-1], pos]")
+    pos, _ = _positive_half(taps)
     idx = m % ring_size
     fhat = dft(_embed_on_ring(f, ring_size))
     for lam in lams:
@@ -280,7 +309,7 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
         raise ValueError("empty modulation grid")
     ring = _embed_on_ring(f, ring_size)
     acc = np.zeros(ring_size)
-    ms = _taps_between(1, M_radius)
+    ms, _ = _sharp_taps(M_radius)
     for lam in grid.points:
         coeff = np.exp(-2j * np.pi * _phase(lam, ms, d)) / ms
         out = np.zeros(ring_size, dtype=complex)

@@ -148,6 +148,27 @@ class TestOscillatoryQuadrature:
         assert oscillatory_quadrature(lambda t: t, lambda t: t, (1.0, 1.0),
                                       1e-10) == 0j
 
+    def test_breakpoints_start_as_panel_edges(self):
+        # the C^2 psi is a different polynomial over t on either side of
+        # its joint at 1; int psi over [1/2, 2] is log 2 (Frullani)
+        fam = BumpFamily(d=2, smoothness_order=2)
+        nodes = []
+
+        def amp(t):
+            nodes.append(np.size(t))
+            return fam.psi(t)
+
+        def phase(t):
+            return np.zeros_like(t)
+
+        whole = oscillatory_quadrature(phase, amp, (0.5, 2.0), 1e-12)
+        n_whole = sum(nodes)
+        nodes.clear()
+        cut = oscillatory_quadrature(phase, amp, (0.5, 1.0, 2.0), 1e-12)
+        assert sum(nodes) < n_whole
+        assert abs(whole - math.log(2.0)) <= 1e-12
+        assert abs(cut - math.log(2.0)) <= 1e-14
+
 
 class TestHj:
     def test_origin_vanishes(self):
@@ -372,14 +393,15 @@ class TestLevinAgainstGaussKronrod:
 
     TOL = 1e-10
 
-    def _check_symbol(self, xi, ctx, levin_calls):
+    def _check_symbol(self, xi, ctx, levin_calls, levin=True):
         fam = BumpFamily(d=ctx.d)
         zf = fam.zeta(math.ldexp(xi, ctx.k - ctx.l))
         phase = _g_phase(ctx, xi)
         direct = G_hat_direct(xi, ctx, fam, self.TOL)
-        assert levin_calls, "the symbol did not reach the Levin core"
+        assert bool(levin_calls) == levin, "the symbol took the other core"
         assert abs(direct - zf * _psi_oracle(phase, self.TOL, fam)) < self.TOL
         split = stationary_phase_split(xi, ctx, fam, self.TOL)
+        assert bool(levin_calls) == levin
         roots = critical_point(xi, ctx)
         windows = [lambda t, r=r: np.asarray(fam.xi0(np.asarray(t) - r))
                    for r in roots]
@@ -402,6 +424,16 @@ class TestLevinAgainstGaussKronrod:
         d, k, l = 2, 40, 12
         ctx = PhaseContext(d, k, l, 1.61 * math.ldexp(1.0, l - d * k))
         self._check_symbol(-2.3 * math.ldexp(1.0, l - k), ctx, levin_calls)
+
+    @pytest.mark.parametrize("d, k, l, xi", [(2, 12, 4, -1.3), (2, 12, 4, 0.7),
+                                             (3, 8, 3, -1.2)])
+    def test_split_below_crossover(self, d, k, l, xi, levin_calls):
+        # the windows at the critical points are not even, so the
+        # reflected half of the Gauss-Kronrod core must take them at -u
+        ctx = PhaseContext(d, k, l, 1.4 * math.ldexp(1.0, l - d * k))
+        xi = math.ldexp(xi, l - k)
+        assert critical_point(xi, ctx)
+        self._check_symbol(xi, ctx, levin_calls, levin=False)
 
     @pytest.mark.parametrize("edge_root", [0.51, -0.51, 0.49])
     def test_critical_point_near_psi_edge(self, edge_root, levin_calls):
@@ -431,15 +463,20 @@ class TestLevinAgainstGaussKronrod:
         assert abs(val - expect) < self.TOL
 
     def test_below_crossover_is_the_reference_path(self, levin_calls):
-        # few cycles: H_j is oscillatory_quadrature on each half, bit for bit
+        # few cycles: H_j is oscillatory_quadrature on [1/2, 2] cut at
+        # psi's joint, minus the same on the reflected phase, bit for bit
         x, y, j, d = 3e-4, 0.05, 5, 2
         X, Y = math.ldexp(x, d * j), math.ldexp(y, j)
         phase = osc._PolynomialPhase(X, Y, d)
         assert (phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0)
                 < osc.LEVIN_MIN_CYCLES)
-        expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
-                                         + Y * np.asarray(t)), 1e-10)
-        assert H_j(x, y, j, d) == expect
+        assert not [r for r in phase.critical_points if 0.5 < abs(r) < 2.0]
+        cut = (0.5, 1.0, 2.0)
+        right = oscillatory_quadrature(lambda t: -(X * t ** d + Y * t),
+                                       DEFAULT_BUMPS.psi, cut, 1e-10 / 2)
+        left = oscillatory_quadrature(lambda u: -(X * (-u) ** d - Y * u),
+                                      DEFAULT_BUMPS.psi, cut, 1e-10 / 2)
+        assert H_j(x, y, j, d) == -left + right
         assert not levin_calls
 
     def test_budget_exhaustion_carries_estimate(self, levin_calls):
@@ -451,6 +488,48 @@ class TestLevinAgainstGaussKronrod:
         assert levin_calls
         est = np.asarray(exc.value.estimate)
         assert est.shape == (1,) and np.all(np.isfinite(est))
+
+
+def _gauss_legendre_psi(X, Y, d, fam, panels=64, nodes=20):
+    """int e(-(X t^d + Y t)) psi(t) dt by composite Gauss-Legendre on the
+    pieces of supp psi between +-1/2, +-1 and +-2, where psi is smooth."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0j
+    for a, b in ((-2.0, -1.0), (-1.0, -0.5), (0.5, 1.0), (1.0, 2.0)):
+        edges = np.linspace(a, b, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1] - edges[0])
+        t = mid + half * x
+        vals = np.exp(-2j * np.pi * (X * t ** d + Y * t)) * fam.psi(t)
+        total += half * (vals @ w).sum()
+    return total
+
+
+class TestBelowCrossover:
+    """The symbol integrals below the Levin crossover: the Gauss-Kronrod
+    core, with the left half of supp psi taken by reflection."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("X, Y", [(0.0, 3.0), (5.0, -7.0), (12.0, 11.0),
+                                      (-15.0, 2.5), (3.0, 0.0), (9.0, -30.0)])
+    def test_matches_gauss_legendre(self, X, Y, d, order, levin_calls):
+        j, tol = 10, 1e-12
+        fam = BumpFamily(d=d, smoothness_order=order)
+        val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d, fam, tol)
+        assert not levin_calls
+        assert abs(val - _gauss_legendre_psi(X, Y, d, fam)) <= tol
+
+    @pytest.mark.parametrize("d, j, x", [(2, 8, 1e-5), (2, 8, -2e-4),
+                                         (2, 8, 5e-4), (2, 12, 3e-7),
+                                         (4, 5, 1e-6), (4, 5, -7e-6)])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10])
+    def test_zero_at_y0_for_even_d(self, d, j, x, tol, levin_calls):
+        # psi is odd and the phase even, so the halves cancel exactly
+        phase = osc._PolynomialPhase(math.ldexp(x, d * j), 0.0, d)
+        assert 2 * phase.variation(0.5, 2.0) < osc.LEVIN_MIN_CYCLES
+        assert H_j(x, 0.0, j, d, tol=tol) == 0j
+        assert not levin_calls
 
 
 class TestBudgetEstimates:

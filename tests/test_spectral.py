@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhilb.farey import ReducedFraction
-from modhilb.osc import DEFAULT_BUMPS
+from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from modhilb.spectral import (LambdaGrid, Signal, _block_taps,
                               _modulated_outputs, _partition_taps, _phase,
-                              _sharp_taps, apply_multiplier, carleson_apply,
+                              _positive_half, _sharp_taps, _symbol,
+                              apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
                               oscillation_sum, r_variation,
@@ -241,6 +242,68 @@ class TestMultipliers:
                 sharp += w * cmath.exp(
                     -2j * cmath.pi * ((lam * mm ** d + beta * mm) % 1.0))
         assert val == pytest.approx(sharp, abs=1e-10)
+
+
+def _full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
+    """sum_m w(m) e(-lam m^d - beta m) over every tap, phases in Fraction."""
+    total = 0j
+    for mi, wi in zip(m, w):
+        ph = Fraction(lam) * mi ** d + Fraction(beta) * mi
+        total += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
+    return total
+
+
+_LAM_BETA = [(0.7310585786300049, 0.1), (0.123456789, 0.6180339887498949),
+             (0.5 + 2.0 ** -20, 1.0 / 3.0), (0.0, 0.37)]
+
+
+class TestHalfTapSymbol:
+    """The symbols sum the positive taps only; the references every tap."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("j", [3, 8])
+    @pytest.mark.parametrize("lam, beta", _LAM_BETA)
+    def test_mj_matches_full_table(self, lam, beta, j, d):
+        fam = BumpFamily(d=d)
+        m = [s * n for s in (-1, 1) for n in range(2 ** (j - 1), 2 ** (j + 1) + 1)]
+        w = [psi_j(float(mi), j, fam) for mi in m]
+        want = _full_table_sum(lam, beta, m, w, d)
+        assert abs(multiplier_Mj(lam, beta, j, d, fam) - want) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam, beta", _LAM_BETA)
+    def test_m_matches_full_table(self, lam, beta, d):
+        J = 6
+        m = [s * n for s in (-1, 1) for n in range(1, 2 ** (J + 1) + 1)]
+        w = [1.0 / mi if abs(mi) == 1 else
+             sum(psi_j(float(mi), j) for j in range(1, J + 1)) for mi in m]
+        want = _full_table_sum(lam, beta, m, w, d)
+        assert abs(multiplier_M(lam, beta, d, J) - want) <= 1e-13
+
+    def test_odd_d_symbol_is_imaginary(self):
+        # the pair +-m contributes -2i w(m) sin(2 pi (lam m^3 + beta m))
+        assert multiplier_Mj(0.3, 0.7, 6, 3).real == 0.0
+
+    @pytest.mark.parametrize("w", [[1.0, 1.0, 1.0, 1.0], [-1.0, -2.0, 1.0, 2.0],
+                                   [-2.0, -1.0, 1.0, 2.0 + 2.0 ** -51]],
+                             ids=["even", "not-reversed", "off-by-ulp"])
+    def test_non_odd_weights_rejected(self, w):
+        taps = (np.array([-2, -1, 1, 2]), np.array(w))
+        with pytest.raises(ValueError, match="odd"):
+            _positive_half(taps)
+        with pytest.raises(ValueError, match="odd"):
+            _symbol(0.3, 0.2, taps, 2)
+        with pytest.raises(ValueError, match="odd"):
+            list(_modulated_outputs(Signal.delta(0), [0.3], taps, 2, 64))
+
+    @pytest.mark.parametrize("m", [[-1, -2, 1, 2], [-2, -1, 2, 1],
+                                   [-2, -1, 1, 3], [-2, -1, 1]])
+    def test_mislaid_table_rejected(self, m):
+        taps = (np.array(m), np.zeros(len(m)))
+        with pytest.raises(ValueError, match="laid out"):
+            _positive_half(taps)
+        with pytest.raises(ValueError, match="laid out"):
+            _symbol(0.3, 0.2, taps, 3)
 
 
 class TestCarleson:
