@@ -117,7 +117,9 @@ def _contributing_centers(lam: float, beta: float, s: int,
     """
     radius = p.chi_s_radius(s)
     # half the separation 2^(-2s) of fractions with denominator < 2^s
-    assert radius <= 2.0 ** (-2 * s - 1)
+    if radius > 2.0 ** (-2 * s - 1):
+        raise ValueError(f"chi_s radius {radius} at s = {s} exceeds half the "
+                         f"center separation, 2^{-2 * s - 1}")
     radius = Fraction(radius)
     near = []
     for x in (Fraction(lam), Fraction(beta)):
@@ -307,19 +309,18 @@ def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,
                               p: ApproxParams, ring_size: int) -> float:
     """l2 norm of the grid-sup of |M_j(lam, .) applied to f|, lam outside X_j.
 
-    The grid is filtered to lambda outside X_j; an empty filtered grid
-    returns 0.  The result is normalized by the l2 norm of f.  It aliases
-    once f's support + 2^(j+2) exceeds ring_size, as in acceptance 10.
+    The grid is filtered to lambda outside X_j; an empty filtered grid or
+    a zero f returns 0 with no transform.  The result is normalized by
+    the l2 norm of f.  It aliases once f's support + 2^(j+2) exceeds
+    ring_size, as in acceptance 10.
     """
+    denom = f.norm2()
     xs = p.xset(j)
     lams = [lam for lam in grid.points if not xset_contains(lam, xs)]
-    if not lams:
+    if not lams or denom == 0.0:
         return 0.0
     acc = np.zeros(ring_size)
     for out in _modulated_outputs(f, lams, _block_taps(j, p.fam), p.d,
                                   ring_size):
         np.maximum(acc, np.abs(out), out=acc)
-    denom = f.norm2()
-    if denom == 0.0:
-        return 0.0
     return float(np.linalg.norm(acc) / denom)

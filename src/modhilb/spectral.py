@@ -13,6 +13,7 @@ operation has offset 0 and its values indexed by x mod ring_size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -179,28 +180,51 @@ def _positive_half(taps) -> tuple[np.ndarray, np.ndarray]:
     return pos, w_pos
 
 
+@functools.lru_cache(maxsize=32)
+def _tap_table(kind: str, n: int,
+               smoothness_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd tap table of one kernel, built once and read-only.
+
+    kind "block" is psi_j on the support of psi_j, j = n; "partition" the
+    blocks j = 1..n summed, with 1/m at m = +-1; "sharp" 1/m for
+    0 < |m| <= n (smoothness_order 0).  psi depends on the smoothness
+    order alone, not on d or c_chi, so equal families share a table.
+    """
+    if kind == "block":
+        fam = BumpFamily(smoothness_order=smoothness_order)
+        pos = np.arange(2 ** (n - 1), 2 ** (n + 1) + 1, dtype=np.int64)
+        w = psi_j(pos.astype(float), n, fam)
+    elif kind == "partition":
+        fam = BumpFamily(smoothness_order=smoothness_order)
+        pos = np.arange(1, 2 ** (n + 1) + 1, dtype=np.int64)
+        w = np.zeros(len(pos))
+        for j in range(1, n + 1):
+            w += psi_j(pos.astype(float), j, fam)
+        w[0] = 1.0
+    else:
+        pos = np.arange(1, n + 1, dtype=np.int64)
+        w = 1.0 / pos
+    taps = _odd_taps(pos, w)
+    for a in taps:
+        a.setflags(write=False)
+    return taps
+
+
 def _block_taps(j: int,
                 fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of M_j: psi_j(m) on the support of psi_j."""
-    pos = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1, dtype=np.int64)
-    return _odd_taps(pos, psi_j(pos.astype(float), j, fam))
+    return _tap_table("block", j, fam.smoothness_order)
 
 
 def _partition_taps(J: int,
                     fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1."""
-    pos = np.arange(1, 2 ** (J + 1) + 1, dtype=np.int64)
-    w = np.zeros(len(pos))
-    for j in range(1, J + 1):
-        w += psi_j(pos.astype(float), j, fam)
-    w[0] = 1.0
-    return _odd_taps(pos, w)
+    return _tap_table("partition", J, fam.smoothness_order)
 
 
 def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact kernel 1/m, 0 < |m| <= radius."""
-    pos = np.arange(1, radius + 1, dtype=np.int64)
-    return _odd_taps(pos, 1.0 / pos)
+    return _tap_table("sharp", radius, 0)
 
 
 def _symbol(lam: float, beta: float, taps, d: int) -> complex:

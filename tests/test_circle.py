@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from modhilb import circle
 from modhilb.circle import (ApproxParams, L_j, L_js, L_js_full_enumeration,
                             _all_centers, _contributing_centers, _exact_offset,
                             error_Ej, major_box_error_scan,
@@ -87,6 +88,19 @@ class TestContributingCenters:
         eps = 0.25 * P2.chi_s_radius(2)
         centers = _contributing_centers(0.5 + eps, 0.5 - eps, 2, P2)
         assert centers == [(1, 1, 2)]
+
+    def test_radius_beyond_half_separation_raises(self, monkeypatch):
+        # a raise, not an assert: the one-center invariant holds under -O
+        s = 2
+        monkeypatch.setattr(ApproxParams, "chi_s_radius",
+                            lambda self, s: 2.0 ** (-2 * s - 1) * (1 + 2 ** -52))
+        with pytest.raises(ValueError, match="center separation"):
+            _contributing_centers(0.5, 0.5, s, P2)
+        with pytest.raises(ValueError, match="center separation"):
+            L_js(0.5, 0.5, 8, s, P2)
+        monkeypatch.setattr(ApproxParams, "chi_s_radius",
+                            lambda self, s: 2.0 ** (-2 * s - 1))
+        assert _contributing_centers(0.5, 0.5, s, P2) == [(1, 1, 2)]
 
 
 class TestLjs:
@@ -193,6 +207,16 @@ class TestRestrictedSup:
         f = Signal(0, np.ones(4))
         grid = LambdaGrid((0.5,))  # 1/2 is inside every X_j
         assert restricted_sup_outside_Xj(f, 8, grid, P2, 64) == 0.0
+
+    def test_zero_signal_gives_zero_without_transforms(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("the modulation loop ran on a zero signal")
+
+        monkeypatch.setattr(circle, "_modulated_outputs", no_loop)
+        # near 0 the grid lies outside X_6, so only the zero f short-cuts
+        grid = LambdaGrid(tuple(np.linspace(0.009, 0.019, 8)))
+        f = Signal(5, np.zeros(16))
+        assert restricted_sup_outside_Xj(f, 6, grid, P2, 512) == 0.0
 
     def test_delta_bounded_by_kernel_norm(self):
         # Young: sup_x |M_j * delta| <= max |psi_j| summed = l1 norm of psi_j

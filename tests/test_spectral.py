@@ -14,6 +14,7 @@ from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from modhilb.spectral import (LambdaGrid, Signal, _block_taps,
                               _modulated_outputs, _partition_taps, _phase,
                               _positive_half, _sharp_taps, _symbol,
+                              _tap_table,
                               apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
@@ -412,6 +413,92 @@ class TestModulatedOutputs:
         taps = (np.array(m), np.ones(len(m)))
         with pytest.raises(ValueError, match="laid out"):
             list(_modulated_outputs(Signal.delta(0), [0.3], taps, 2, 64))
+
+
+def _fresh_tables(fam: BumpFamily) -> dict:
+    """The three kinds of tap table built here, from psi_j and 1/m."""
+    def odd(pos, w):
+        return (np.concatenate([-pos[::-1], pos]),
+                np.concatenate([-w[::-1], w]))
+
+    pos = np.arange(2 ** 7, 2 ** 9 + 1)
+    block = odd(pos, psi_j(pos.astype(float), 8, fam))
+    pos = np.arange(1, 2 ** 7 + 1)
+    w = sum(psi_j(pos.astype(float), j, fam) for j in range(1, 7))
+    w[0] = 1.0
+    partition = odd(pos, w)
+    pos = np.arange(1, 301)
+    return {"block": block, "partition": partition,
+            "sharp": odd(pos, 1.0 / pos)}
+
+
+def _cached_tables(fam: BumpFamily) -> dict:
+    return {"block": _block_taps(8, fam), "partition": _partition_taps(6, fam),
+            "sharp": _sharp_taps(300)}
+
+
+class TestTapTableCache:
+    """Each tap table is built once per key, shared and read-only."""
+
+    FAMS = [DEFAULT_BUMPS, BumpFamily(d=3, smoothness_order=2, c_chi=0.01)]
+
+    @pytest.mark.parametrize("kind", ["block", "partition", "sharp"])
+    def test_cached_table_is_read_only(self, kind):
+        m, w = _cached_tables(DEFAULT_BUMPS)[kind]
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            w[-1] *= 2.0
+
+    def test_equal_families_share_a_table(self):
+        # psi depends on the smoothness order alone, not on d or c_chi
+        for order in (2, 4):
+            base = _cached_tables(BumpFamily(d=2, smoothness_order=order))
+            for other in (BumpFamily(d=3, smoothness_order=order),
+                          BumpFamily(d=2, smoothness_order=order, c_chi=0.05)):
+                for kind, taps in _cached_tables(other).items():
+                    assert taps is base[kind]
+        c2 = _cached_tables(BumpFamily(smoothness_order=2))
+        c4 = _cached_tables(BumpFamily(smoothness_order=4))
+        assert c2["block"] is not c4["block"]
+        assert not np.array_equal(c2["block"][1], c4["block"][1])
+
+    @pytest.mark.parametrize("fam", FAMS, ids=["C4-d2", "C2-d3"])
+    def test_cached_table_equals_fresh_build(self, fam):
+        _tap_table.cache_clear()
+        for _ in ("cold", "warm"):
+            cached = _cached_tables(fam)
+            for kind, (m, w) in _fresh_tables(fam).items():
+                assert np.array_equal(cached[kind][0], m)
+                assert np.array_equal(cached[kind][1], w)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("fam", FAMS, ids=["C4-d2", "C2-d3"])
+    def test_results_cold_and_warm_bit_identical(self, fam, d):
+        rng = np.random.Generator(np.random.Philox(23))
+        points = rng.random((5, 2))
+        f = Signal(2, rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        grid = LambdaGrid(tuple(np.sort(rng.random(6))))
+        fresh = _fresh_tables(fam)
+
+        def run():
+            return ([multiplier_Mj(lam, beta, 8, d, fam) for lam, beta in points]
+                    + [multiplier_M(lam, beta, d, 6, fam) for lam, beta in points],
+                    [carleson_apply(f, grid, d, 6, 512, fam, kernel=k).values
+                     for k in ("partition", "sharp")])
+
+        _tap_table.cache_clear()
+        cold = run()
+        assert _tap_table.cache_info().currsize == 3
+        warm = run()
+        assert _tap_table.cache_info().hits > 0
+        assert cold[0] == warm[0]
+        for a, b in zip(cold[1], warm[1]):
+            assert np.array_equal(a, b)
+        assert cold[0] == ([_symbol(lam, beta, fresh["block"], d)
+                            for lam, beta in points]
+                           + [_symbol(lam, beta, fresh["partition"], d)
+                              for lam, beta in points])
 
 
 class TestTTStarKs:
