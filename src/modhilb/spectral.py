@@ -138,23 +138,82 @@ def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
 # ---------------------------------------------------------------------------
 # the multipliers
 
-def _phase(x: float, m: np.ndarray, d: int) -> np.ndarray:
-    """(x m^d) mod 1 in [-1/2, 1/2] for finite x; ValueError if |m|^d >= 2^63.
-
-    Payne and Hanek's exact reduction, cut to one 64-bit word: x = hi
-    2^-64 + lo with hi = floor(x 2^64) and 0 <= lo < 2^-64, so hi m^d
-    mod 2^64 is numpy's wrapping uint64 product, read as a signed word,
-    and lo m^d is below 1/2 in size.
-    """
+def _tap_powers(m: np.ndarray, d: int) -> np.ndarray:
+    """m^d as int64 words; ValueError if |m|^d >= 2^63."""
     if m.size and int(np.abs(m).max()) ** d >= 2 ** 63:
         raise ValueError("|m|^d must be below 2^63")
+    return np.asarray(m, dtype=np.int64) ** d
+
+
+def _reduce(x: float, md: np.ndarray) -> np.ndarray:
+    """(x md) mod 1 in [-1/2, 1/2] for finite x and md from _tap_powers.
+
+    Payne and Hanek's exact reduction, cut to one 64-bit word: x = hi
+    2^-64 + lo with hi = floor(x 2^64) and 0 <= lo < 2^-64, so hi md mod
+    2^64 is numpy's wrapping uint64 product, read as a signed word, and
+    lo md is below 1/2 in size.
+    """
     num, den = float(x).as_integer_ratio()  # den is a power of two
     hi = (num << 64) // den
     lo = x - math.ldexp(hi, -64) if den > 2 ** 64 else 0.0
-    md = m ** d
-    word = (md.astype(np.uint64) * np.uint64(hi % 2 ** 64)).view(np.int64)
+    word = (md.view(np.uint64) * np.uint64(hi % 2 ** 64)).view(np.int64)
     t = word * 2.0 ** -64 + lo * md
     return t - np.rint(t)
+
+
+def _phase(x: float, m: np.ndarray, d: int) -> np.ndarray:
+    """(x m^d) mod 1 in [-1/2, 1/2] for finite x; ValueError if |m|^d >= 2^63."""
+    return _reduce(x, _tap_powers(m, d))
+
+
+def _unit_table() -> np.ndarray:
+    """e(-k/256), k = 0..255, from sin on the first quadrant.
+
+    The other quadrants are exact multiples by -i, -1 and i, so e(-1/4),
+    e(-1/2) and e(-3/4) are exact.
+    """
+    s = np.sin(np.pi / 128 * np.arange(65))  # sin(2 pi k / 256)
+    c, s = s[64:0:-1], s[:64]                # cos and sin, k = 0..63
+    return (np.concatenate([c, -s, -c, s])
+            + 1j * np.concatenate([-s, -c, s, c]))
+
+
+_E_TABLE = _unit_table()
+_E_TABLE.setflags(write=False)
+_ROUND = 1.5 * 2.0 ** 52  # u + _ROUND is u rounded to an integer, |u| < 2^51
+
+
+def _e_neg(t: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = w e(-t) for t in [-1/2, 1/2], with no exp, sin or cos.
+
+    256 t = k + r with k the nearest integer and |r| <= 1/2, both exact,
+    so e(-t) = e(-k/256) e(-r/256): a gather from _E_TABLE times the
+    Taylor series of cos and sin at 2 pi r / 256 <= pi/256, to degree 7,
+    whose truncation error is below 1e-19.  Per call it is built from +,
+    x and a gather alone; the table is the one transcendental step, taken
+    once at import.
+    """
+    u = t * 256.0
+    y = u + _ROUND
+    k = y.view(np.int64) & 255  # the low bits of y's mantissa are k mod 2^8
+    y -= _ROUND                 # k
+    np.subtract(u, y, out=u)    # r
+    u *= np.pi / 128            # 2 pi r / 256
+    z = np.multiply(u, u, out=y)
+    c, s = z * (-1 / 720), z * (-1 / 5040)  # Horner, in place
+    for a, b in ((1 / 24, 1 / 120), (-1 / 2, -1 / 6)):
+        c += a
+        c *= z
+        s += b
+        s *= z
+    c += 1.0
+    s += 1.0
+    s *= u
+    out.real = c
+    np.negative(s, out=out.imag)
+    out *= _E_TABLE.take(k)
+    out *= w
+    return out
 
 
 def _odd_taps(pos: np.ndarray,
@@ -274,21 +333,29 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
     """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
 
     taps = (m, w) is the kernel's lambda-independent tap table (the
-    _*_taps builders), odd and laid out as [-pos[::-1], pos], so
-    e(-lam m^d) on -pos is its value on pos reversed, and conjugated for
-    odd d.  f is embedded and transformed once; taps beyond the ring wrap
-    and add up.
+    _*_taps builders), odd and laid out as [-pos[::-1], pos].  Each
+    kernel is built in place: the phase words of pos^d, taken once per
+    call, give w e(-lam m^d) on pos through _e_neg, and the tap at -m
+    is minus that value, conjugated for odd d.  f is embedded and
+    transformed once; taps beyond the ring wrap and add up.  One dft and
+    one idft run per lam, and each row yielded is a fresh array.
     """
-    m, w = taps
-    pos, _ = _positive_half(taps)
-    idx = m % ring_size
+    pos, w_pos = _positive_half(taps)
+    md = _tap_powers(pos, d)
+    idx_pos, idx_neg = pos % ring_size, -pos % ring_size
     fhat = dft(_embed_on_ring(f, ring_size))
+    vals = np.empty(len(pos), dtype=complex)
+    ker = np.empty(ring_size, dtype=complex)
     for lam in lams:
-        e_pos = np.exp(-2j * np.pi * _phase(lam, pos, d))
-        e_neg = e_pos[::-1] if d % 2 == 0 else e_pos[::-1].conj()
-        ker = np.zeros(ring_size, dtype=complex)
-        np.add.at(ker, idx, w * np.concatenate([e_neg, e_pos]))
-        yield idft(fhat * dft(ker))
+        _e_neg(_reduce(lam, md), w_pos, vals)
+        ker.fill(0.0)
+        np.add.at(ker, idx_pos, vals)
+        if d % 2:
+            np.conjugate(vals, out=vals)
+        np.subtract.at(ker, idx_neg, vals)
+        spec = dft(ker)
+        spec *= fhat
+        yield idft(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +368,8 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
     """Pointwise max over the grid of |(M(lam, .) fhat)^v|.
 
     kernel="partition" uses the truncated symbol multiplier_M assembled
-    from the dyadic blocks; kernel="sharp" uses the exact coefficients
+    from the dyadic blocks, whose reach is 2^(J+1); any other radius
+    raises ValueError.  kernel="sharp" uses the exact coefficients
     e(-lam m^d)/m up to the given radius (default 2^(J+1)), which is the
     radius-matched FFT counterpart of carleson_direct_oracle.  Cost is
     O(|grid| N log N) either way.
@@ -311,6 +379,9 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
     if ring_size < 4 * f.support_width:
         raise ValueError("ring_size must be >= 4x the support width of f")
     if kernel == "partition":
+        if radius not in (None, 2 ** (J + 1)):
+            raise ValueError(f"the partition kernel reaches 2^(J+1) = "
+                             f"{2 ** (J + 1)}, not radius {radius}")
         taps = _partition_taps(J, fam)
     elif kernel == "sharp":
         taps = _sharp_taps(2 ** (J + 1) if radius is None else radius)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from modhilb.farey import ReducedFraction
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
-from modhilb.spectral import (LambdaGrid, Signal, _block_taps,
+from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _e_neg,
                               _modulated_outputs, _partition_taps, _phase,
                               _positive_half, _sharp_taps, _symbol,
                               _tap_table,
@@ -185,6 +185,36 @@ class TestPhase:
         _phase(0.3, np.array([-_M_MAX[4]]), 4)
         with pytest.raises(ValueError):
             _phase(0.3, np.array([_M_MAX[4] + 1]), 4)
+
+
+class TestTabulatedExp:
+    def _check(self, t):
+        got = _e_neg(t, np.ones(len(t)), np.empty(len(t), dtype=complex))
+        for x, g in zip(t.tolist(), got.tolist()):
+            assert abs(g - cmath.exp(-2j * math.pi * x)) <= 1.5e-15, x
+
+    def test_table_points_and_their_neighbours(self):
+        # the rounding to the nearest k/256 flips at k/256 +- 1/512; the
+        # points next to each k/256 exercise a remainder of a few ulp
+        t = [0.0, 0.5, -0.5]
+        for k in range(-128, 129):
+            lo = hi = k / 256
+            for _ in range(3):
+                lo, hi = math.nextafter(lo, -1.0), math.nextafter(hi, 1.0)
+                t += [lo, hi]
+        t = np.array([x for x in t if abs(x) <= 0.5])
+        self._check(t)
+
+    def test_seeded_uniforms(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        self._check(rng.uniform(-0.5, 0.5, 10 ** 4))
+
+    def test_weights_scale_each_tap(self):
+        rng = np.random.Generator(np.random.Philox(24))
+        t, w = rng.uniform(-0.5, 0.5, 64), rng.standard_normal(64)
+        out = np.empty(64, dtype=complex)
+        assert _e_neg(t, w, out) is out
+        assert np.max(np.abs(out - w * np.exp(-2j * np.pi * t))) <= 1.5e-15
 
 
 class TestMultipliers:
@@ -386,6 +416,18 @@ class TestCarleson:
         with pytest.raises(ValueError):
             carleson_direct_oracle(Signal.delta(0), LambdaGrid(()), 2, 8, 64)
 
+    def test_partition_radius_is_its_reach(self):
+        # the partition kernel reaches 2^(J+1); that radius, or none, is
+        # the only one it accepts
+        N, J = 256, 5
+        f, grid = Signal(2, np.array([1.0, -0.5j, 0.25])), LambdaGrid((0.1, 0.6))
+        out = carleson_apply(f, grid, 2, J, N)
+        same = carleson_apply(f, grid, 2, J, N, radius=2 ** (J + 1))
+        assert np.array_equal(out.values, same.values)
+        for radius in (2 ** J, 2 ** (J + 1) - 1, 2 ** (J + 2)):
+            with pytest.raises(ValueError, match="partition"):
+                carleson_apply(f, grid, 2, J, N, radius=radius)
+
 
 class TestModulatedOutputs:
     @pytest.mark.parametrize("d", [2, 3])
@@ -407,6 +449,35 @@ class TestModulatedOutputs:
             ker = np.zeros(N, dtype=complex)
             np.add.at(ker, m % N, w * np.exp(-2j * np.pi * _phase(lam, m, d)))
             assert np.max(np.abs(out - idft(fhat * dft(ker)))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrapping_ring_matches_exp_reference(self, d):
+        # block j = 12 reaches |m| = 2^13 on a 4096-point ring, as in
+        # acceptance 10: every ring point sums several taps
+        N, j = 4096, 12
+        rng = np.random.Generator(np.random.Philox(18))
+        f = Signal(0, rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+        lams = rng.random(5).tolist()
+        m, w = _block_taps(j)
+        fhat = dft(np.concatenate([f.values, np.zeros(N - 1024)]))
+        got = list(_modulated_outputs(f, lams, (m, w), d, N))
+        for lam, out in zip(lams, got):
+            ker = np.zeros(N, dtype=complex)
+            np.add.at(ker, m % N, w * np.exp(-2j * np.pi * _phase(lam, m, d)))
+            assert np.max(np.abs(out - idft(fhat * dft(ker)))) <= 1e-14
+
+    def test_rows_are_independent_arrays(self):
+        # oscillation_sum holds its anchor row while it consumes the rest
+        rng = np.random.Generator(np.random.Philox(19))
+        f = Signal(0, rng.standard_normal(64) + 0j)
+        outputs = _modulated_outputs(f, rng.random(6).tolist(),
+                                     _sharp_taps(100), 2, 1024)
+        first = next(outputs)
+        held = first.copy()
+        rest = list(outputs)
+        assert len(rest) == 5
+        assert np.array_equal(first, held)
+        assert not any(np.shares_memory(first, row) for row in rest)
 
     @pytest.mark.parametrize("m", [[-2, -1, 1], [-3, -1, 1, 2], [1, 2, 3, 4]])
     def test_asymmetric_taps_rejected(self, m):
