@@ -140,7 +140,7 @@ class XSet:
     exponent_C: float
     d: int
     prefactor: float = 1.0
-    width: float = field(default=0.0)
+    width: float = field(init=False)
 
     def __post_init__(self):
         if self.j < 1 or self.exponent_C <= 0 or self.d < 2:

@@ -11,11 +11,12 @@ Everything else is derived from eta, so smoothness and support constants
 are certified by construction rather than assumed.
 
 Every symbol integral here has the polynomial phase -(X t^d + Y t) and an
-amplitude that is smooth between breakpoints known in advance.  Above
-LEVIN_MIN_CYCLES of phase variation they use adaptive Levin collocation,
-whose cost does not grow with the frequency; below it, the adaptive
-Gauss-Kronrod quadrature of oscillatory_quadrature, which is also the
-reference the Levin path is tested against.
+amplitude that is smooth between breakpoints known in advance.  All of
+them run through one core, adaptive Levin collocation over both halves of
+supp psi, whose cost does not grow with the frequency and which falls
+back to Clenshaw-Curtis on panels of less than one turn.  The adaptive
+Gauss-Kronrod quadrature of oscillatory_quadrature is the slow reference
+that core is tested against; no production path calls it.
 """
 
 from __future__ import annotations
@@ -151,29 +152,30 @@ _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-def _panel_batch(g, n_out: int, lo: np.ndarray,
+def _panel_batch(phase, amplitude, lo: np.ndarray,
                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod integrals and error estimates over each [lo_i, hi_i].
+    """Kronrod integrals of e(phase) amplitude and error estimates over
+    each [lo_i, hi_i], as (1, panels) arrays.
 
-    g maps a flat node array to an (n_out, nodes) stack of integrand
-    values sharing the same panels; one vectorized evaluation at the 15
-    Kronrod nodes yields the K15 result, the embedded G7 result, and a
-    scaled error estimate in the style of classic automatic integrators:
-    the raw |K15 - G7| gap is damped through the panel's total variation
-    proxy, so nearly-exact panels are not refined just because the gap
-    sits above round-off.
+    One vectorized evaluation at the 15 Kronrod nodes yields the K15
+    result, the embedded G7 result, and a scaled error estimate in the
+    style of classic automatic integrators: the raw |K15 - G7| gap is
+    damped through the panel's total variation proxy, so nearly-exact
+    panels are not refined just because the gap sits above round-off.
     """
     n = len(lo)
-    res_k = np.empty((n_out, n), dtype=complex)
-    err = np.empty((n_out, n))
+    res_k = np.empty((1, n), dtype=complex)
+    err = np.empty((1, n))
     # chunked so the (panels x 15) node matrices stay cache-sized
     step = 1 << 12
     for start in range(0, n, step):
         sl = slice(start, min(start + step, n))
         mid = 0.5 * (lo[sl] + hi[sl])
         half = 0.5 * (hi[sl] - lo[sl])
-        t = mid[:, None] + half[:, None] * _XGK[None, :]
-        vals = g(t.ravel()).reshape((n_out,) + t.shape)
+        t = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
+        vals = _oscillating_factor(phase, t)
+        vals *= np.asarray(amplitude(t))
+        vals = vals.reshape(len(mid), len(_XGK))
         rk = (vals @ _WGK) * half
         rg = (vals @ _WG) * half
         mean = rk / np.where(half == 0.0, 1.0, 2.0 * half)
@@ -181,64 +183,18 @@ def _panel_batch(g, n_out: int, lo: np.ndarray,
         raw = np.abs(rk - rg)
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
-        res_k[:, sl] = rk
-        err[:, sl] = np.where(resasc > 0.0, scaled, raw)
+        res_k[0, sl] = rk
+        err[0, sl] = np.where(resasc > 0.0, scaled, raw)
     return res_k, err
 
 
-def _adaptive_oscillatory(phase, g, n_out: int, support: Sequence[float],
-                          tol: float, panel_budget: int) -> np.ndarray:
-    """Shared-panel adaptive core behind oscillatory_quadrature.
-
-    Integrates the n_out stacked integrands produced by g over [a, b] on
-    one common panel layout, refining until every component meets the
-    absolute tolerance.  support is the sorted breakpoint sequence
-    a, ..., b; the inner breakpoints, where the integrands may lose
-    smoothness, are edges of the first panels.  On budget exhaustion
-    raises QuadratureError whose estimate is the length-n_out vector
-    achieved so far.
-    """
-    a, b = float(support[0]), float(support[-1])
-    if not b > a:
-        return np.zeros(n_out, dtype=complex)
-
-    span = b - a
-    # estimated |phase'| on a midpoint grid; fine enough for the smooth
-    # polynomial phases used here
-    m = 2048
-    cell = span / m
-    mids = a + (np.arange(m) + 0.5) * cell
-    h = span * 1e-7
-    dphi = np.abs(np.asarray(phase(mids + h)) - np.asarray(phase(mids - h))) / (2 * h)
-    cycles = np.concatenate([[0.0], np.cumsum(dphi * cell)])
-    total_cycles = cycles[-1]
-
-    n_osc = int(math.ceil(total_cycles * 4.0))
-    budget_hit = False
-    if n_osc > panel_budget:
-        n_osc = panel_budget
-        budget_hit = True
-    if n_osc > 0:
-        targets = np.linspace(0.0, total_cycles, n_osc + 1)
-        osc_edges = np.interp(targets, cycles, np.concatenate([[a], mids + 0.5 * cell]))
-    else:
-        osc_edges = np.array([a, b])
-    base_edges = np.linspace(a, b, 17)
-    edges = np.unique(np.concatenate([osc_edges, base_edges, support]))
-
-    lo_e, hi_e = edges[:-1], edges[1:]
-    vals, err = _panel_batch(g, n_out, lo_e, hi_e)
-
-    if budget_hit:
-        raise QuadratureError(
-            "initial quarter-period subdivision exceeds the panel budget",
-            vals.sum(axis=1))
-
-    def batch(lo, hi):
-        return _panel_batch(g, n_out, lo, hi)
-
-    return _bisect_to_tolerance(batch, lo_e, hi_e, vals, err, tol,
-                                panel_budget)
+def _oriented_sum(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The integral over the union of the panels, from their (n_out,
+    panels) oriented integrals: a panel with lo > hi ran backward, so it
+    counts with the opposite sign.  Forward and backward panels are summed
+    apart, so mirror layouts of equal values cancel exactly."""
+    back = lo > hi
+    return vals[:, ~back].sum(axis=1) - vals[:, back].sum(axis=1)
 
 
 def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
@@ -246,11 +202,12 @@ def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
                          panel_budget: int) -> np.ndarray:
     """Bisect failing panels until the summed error estimates meet tol.
 
-    batch(lo, hi) returns the (n_out, panels) integrals and error
-    estimates over [lo_i, hi_i]; vals and err hold them for the panels
-    already laid out, which count against panel_budget.  On exhaustion
-    raises QuadratureError whose estimate is the length-n_out vector
-    achieved so far.
+    batch(lo, hi) returns the (n_out, panels) oriented integrals and
+    error estimates over [lo_i, hi_i], where a panel may run backward
+    (lo_i > hi_i); vals and err hold them for the panels already laid
+    out, which count against panel_budget.  Returns the length-n_out
+    integral over the union of the panels (_oriented_sum).  On exhaustion
+    raises QuadratureError whose estimate is that integral so far.
     """
     created = len(lo_e)
     while err.sum(axis=1).max() > tol:
@@ -261,13 +218,13 @@ def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
         if created + int(bad.sum()) > panel_budget:
             raise QuadratureError(
                 "panel budget exhausted before reaching tolerance",
-                vals.sum(axis=1))
+                _oriented_sum(lo_e, hi_e, vals))
         ba, bb = lo_e[bad], hi_e[bad]
         mid = 0.5 * (ba + bb)
-        if not ((ba < mid) & (mid < bb)).all():
+        if not ((ba != mid) & (mid != bb)).all():
             raise QuadratureError(
                 "panels bisected to the floating-point resolution before "
-                "reaching tolerance", vals.sum(axis=1))
+                "reaching tolerance", _oriented_sum(lo_e, hi_e, vals))
         new_lo = np.concatenate([ba, mid])
         new_hi = np.concatenate([mid, bb])
         new_vals, new_err = batch(new_lo, new_hi)
@@ -277,7 +234,7 @@ def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
         vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         err = np.concatenate([err[:, keep], new_err], axis=1)
         created += int(bad.sum())
-    return vals.sum(axis=1)
+    return _oriented_sum(lo_e, hi_e, vals)
 
 
 def _oscillating_factor(phase, t):
@@ -305,16 +262,42 @@ def oscillatory_quadrature(phase: Callable, amplitude: Callable,
 
     Both callables must accept numpy arrays.  Raises QuadratureError,
     carrying the achieved estimate, if the panel budget is exhausted.
-    This is the reference the faster symbol paths below are tested
-    against.
+    No production path calls it: it is the slow reference that the Levin
+    core behind the symbol integrals below is tested against.
     """
-    def g(t):
-        out = _oscillating_factor(phase, t)
-        out *= np.asarray(amplitude(t))
-        return out[None, :]
+    a, b = float(support[0]), float(support[-1])
+    if not b > a:
+        return 0j
 
+    span = b - a
+    # estimated |phase'| on a midpoint grid; fine enough for the smooth
+    # polynomial phases used here
+    m = 2048
+    cell = span / m
+    mids = a + (np.arange(m) + 0.5) * cell
+    h = span * 1e-7
+    dphi = np.abs(np.asarray(phase(mids + h)) - np.asarray(phase(mids - h))) / (2 * h)
+    cycles = np.concatenate([[0.0], np.cumsum(dphi * cell)])
+    total_cycles = cycles[-1]
+
+    n_osc = math.ceil(total_cycles * 4.0)
+    targets = np.linspace(0.0, total_cycles, min(n_osc, panel_budget) + 1)
+    osc_edges = np.interp(targets, cycles, np.concatenate([[a], mids + 0.5 * cell]))
+    base_edges = np.linspace(a, b, 17)
+    edges = np.unique(np.concatenate([osc_edges, base_edges, support]))
+
+    def batch(lo, hi):
+        return _panel_batch(phase, amplitude, lo, hi)
+
+    lo_e, hi_e = edges[:-1], edges[1:]
+    vals, err = batch(lo_e, hi_e)
+    if n_osc > panel_budget:
+        raise QuadratureError(
+            "initial quarter-period subdivision exceeds the panel budget",
+            complex(vals.sum()))
     try:
-        res = _adaptive_oscillatory(phase, g, 1, support, tol, panel_budget)
+        res = _bisect_to_tolerance(batch, lo_e, hi_e, vals, err, tol,
+                                   panel_budget)
     except QuadratureError as exc:
         raise QuadratureError(str(exc), complex(exc.estimate[0])) from None
     return complex(res[0])
@@ -355,10 +338,12 @@ _LEVIN_CHUNK = 1 << 10
 # plus a small diagonal, is near singular.
 _LEVIN_MIN_TURNS = 1.0
 
-# Phase variation int |phase'| over supp psi, in cycles, above which the
-# symbol integrals use the Levin core.  Below it quarter-period
-# Gauss-Kronrod panels are few and cost less than the collocation solves.
-LEVIN_MIN_CYCLES = 300.0
+# Phase variation int |phase'| over supp psi, in cycles, up to which each
+# half of supp psi starts from 16 equal panels as well as its cuts.  Below
+# it most panels are Clenshaw-Curtis ones, and starting from the cuts
+# alone costs several rounds of bisection; above it the equal panels are
+# more than the oscillation needs, and cost time.
+_EQUAL_PANEL_CYCLES = 300.0
 
 
 @dataclass(frozen=True)
@@ -425,7 +410,7 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
         t = 0.5 * (lo[sl] + hi[sl])[:, None] + half[:, None] * _CHEB_X
         amp = np.asarray(amplitude(t.ravel())).reshape((n_out,) + t.shape)
         dphi = phase.derivative(t)
-        slow = 2.0 * half * np.abs(dphi).max(axis=1) < _LEVIN_MIN_TURNS
+        slow = 2.0 * np.abs(half) * np.abs(dphi).max(axis=1) < _LEVIN_MIN_TURNS
         fast = ~slow
         both = np.empty((2, n_out, len(half)), dtype=complex)
         if slow.any():
@@ -454,11 +439,13 @@ def _adaptive_levin(phase: _PolynomialPhase, amplitude, n_out: int,
                     panel_budget: int) -> np.ndarray:
     """Integrate e(phase) times the n_out stacked amplitudes, adaptively.
 
-    edges holds one sorted breakpoint array per interval of the domain;
-    the amplitudes must be smooth between breakpoints and phase' may
-    vanish only at them.  Failing panels are bisected as in the
-    Gauss-Kronrod core; the cost depends on the amplitudes' smoothness
-    and on the critical points, not on the frequency.
+    edges holds one monotone breakpoint array per interval of the domain;
+    a decreasing one lays its panels out backward, and the result is
+    still the integral over the interval (_oriented_sum).  The amplitudes
+    must be smooth between breakpoints and phase' may vanish only at
+    them.  Failing panels are bisected until the summed error estimates
+    meet tol; the cost depends on the amplitudes' smoothness and on the
+    critical points, not on the frequency.
     """
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
@@ -470,11 +457,6 @@ def _adaptive_levin(phase: _PolynomialPhase, amplitude, n_out: int,
     return _bisect_to_tolerance(batch, lo, hi, vals, err, tol, panel_budget)
 
 
-# supp psi, and the points where psi's smoothstep pieces meet inside it
-_PSI_SUPPORT = ((-2.0, -0.5), (0.5, 2.0))
-_PSI_JOINTS = (-1.0, 1.0)
-
-
 def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
                             tol: float, panel_budget: int, weights=None,
                             n_out: int = 1, breakpoints=(),
@@ -484,54 +466,35 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     weights maps a node array to an (n_out, nodes) real stack, or is
     None for the single weight 1; the common factor is evaluated once per
     node and shared, so the cost of n_out integrals is close to the cost
-    of one.  Both cores start from panels broken at psi's joints, the
-    critical points and the given breakpoints, where the weights may
-    lose smoothness.  Above LEVIN_MIN_CYCLES of phase variation the
-    Levin core integrates over both halves of supp psi.  Below it the
-    Gauss-Kronrod core integrates over [1/2, 2] twice: psi is odd, so
-    the left half is minus the integral of psi(u) e(phase(-u)) w(-u).
-    Hence for w = 1, an even d and Y = 0 the two halves agree bit for
-    bit and the result is exactly 0.  A QuadratureError carries factor
+    of one.  One Levin call covers both halves of supp psi.  Each half
+    starts from panels broken at psi's joints, the critical points and
+    the given breakpoints, where the weights may lose smoothness, and at
+    or below _EQUAL_PANEL_CYCLES of phase variation from 16 equal panels
+    as well.  The left half is laid out as [1/2, 2] with its own cuts
+    reflected, then negated, so its panels run backward.  psi is odd, so
+    for w = 1, an even d and Y = 0 each backward panel computes the same
+    oriented integral as its mirror, bit for bit, and the result is
+    exactly 0 at every frequency.  A QuadratureError carries factor
     times the estimate over all of supp psi, so it estimates the value a
     successful call would return.
     """
-    def stack(base, t, sign=1.0):
-        if weights is None:
-            return base[None, :]
-        return base[None, :] * weights(sign * t)
+    # psi's smoothstep pieces meet at +-1
+    cuts = (-1.0, 1.0, *phase.critical_points, *breakpoints)
+    start = [0.5, 2.0]
+    if phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0) <= _EQUAL_PANEL_CYCLES:
+        start = np.linspace(0.5, 2.0, 17)
+    right = np.unique([*start, *(c for c in cuts if 0.5 < c < 2.0)])
+    left = -np.unique([*start, *(-c for c in cuts if -2.0 < c < -0.5)])
 
-    cuts = (*_PSI_JOINTS, *phase.critical_points, *breakpoints)
-    left, right = [np.unique([a, b, *(c for c in cuts if a < c < b)])
-                   for a, b in _PSI_SUPPORT]
-    if sum(phase.variation(a, b) for a, b in _PSI_SUPPORT) > LEVIN_MIN_CYCLES:
-        parts = [(1.0, lambda: _adaptive_levin(
-            phase, lambda t: stack(fam.psi(t), t), n_out, [left, right],
-            tol, panel_budget))]
-    else:
-        def half(ph, sign, edges):
-            def g(u):
-                return stack(_oscillating_factor(ph, u) * fam.psi(u), u, sign)
+    def amplitude(t):
+        base = fam.psi(t)[None, :]
+        return base if weights is None else base * weights(t)
 
-            return sign, lambda: _adaptive_oscillatory(ph, g, n_out, edges,
-                                                       tol / 2, panel_budget)
-
-        # phase(-u) = -((-1)^d X u^d - Y u)
-        mirror = _PolynomialPhase((-1) ** phase.d * phase.X, -phase.Y,
-                                  phase.d)
-        parts = [half(mirror, -1.0, -left[::-1]), half(phase, 1.0, right)]
-
-    total = np.zeros(n_out, dtype=complex)
-    failure = None
-    for sign, part in parts:
-        try:
-            total += sign * part()
-        except QuadratureError as exc:
-            # go on to the other half, so the estimate covers supp psi
-            failure = failure or exc
-            total += sign * exc.estimate
-    if failure is not None:
-        raise QuadratureError(str(failure), factor * total) from None
-    return factor * total
+    try:
+        return factor * _adaptive_levin(phase, amplitude, n_out, [left, right],
+                                        tol, panel_budget)
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), factor * exc.estimate) from None
 
 
 # ---------------------------------------------------------------------------
@@ -634,30 +597,23 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     # zeta vanishes at xi = 0, so the roots here are never degenerate
     phase = _g_phase(ctx, xi)
     roots = phase.critical_points
-    if not roots:
-        whole = complex(_psi_support_quadrature(phase, fam, tol, panel_budget,
-                                                factor=zf)[0])
-        return (whole, 0j, None if d_even else 0j)
 
     # the excised part and the per-root windows share the phase, hence
     # the same panel layout; stacking them shares the node evaluations
     def weight_stack(t):
         windows = [np.asarray(fam.xi0(t - r)) for r in roots]
-        return np.stack([1.0 - sum(windows)] + windows)
+        return np.stack([np.ones_like(t) - sum(windows)] + windows)
 
     # xi0(s) = eta(8 d s) has its smoothstep joints at |s| = 1/(8d), 2/(8d)
     window_joints = [r + u / (8.0 * fam.d) for r in roots
                      for u in (-2.0, -1.0, 1.0, 2.0)]
-    vals = _psi_support_quadrature(phase, fam, tol, panel_budget,
-                                   weight_stack, 1 + len(roots),
-                                   window_joints, factor=zf)
-    a_hat = complex(vals[0])
-    b_parts = [complex(v) for v in vals[1:]]
-    if d_even:
-        return (a_hat, b_parts[0], None)
-    # for d odd the two roots are +/- r with r > 0; the plus part is the
-    # window at the larger root
-    return (a_hat, b_parts[0], b_parts[1])
+    parts = [complex(v) for v in _psi_support_quadrature(
+        phase, fam, tol, panel_budget, weight_stack, 1 + len(roots),
+        window_joints, factor=zf)]
+    # for d odd the two roots are +/- r with r > 0, the plus part the
+    # window at the larger root; with no root the B parts vanish
+    parts += [0j] * (3 - len(parts))
+    return (parts[0], parts[1], None if d_even else parts[2])
 
 
 # ---------------------------------------------------------------------------

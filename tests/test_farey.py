@@ -136,6 +136,10 @@ class TestXSet:
             w = XSet(j=j, exponent_C=2.0, d=2).width
             assert math.ldexp(1.0, round(math.log2(w))) == w
 
+    def test_width_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            XSet(j=6, exponent_C=2.0, d=2, width=1.0)
+
     def test_symmetry_under_reflection(self):
         xs = XSet(j=9, exponent_C=2.0, d=2)
         rng = np.random.Generator(np.random.Philox(1))

@@ -374,34 +374,18 @@ def _g_phase(ctx, xi):
     return lambda t: -(X * np.asarray(t) ** ctx.d + Y * np.asarray(t))
 
 
-@pytest.fixture
-def levin_calls(monkeypatch):
-    """Counts the integrals routed to the Levin core."""
-    calls = []
-    core = osc._adaptive_levin
-
-    def counted(*args):
-        calls.append(args[0])
-        return core(*args)
-
-    monkeypatch.setattr(osc, "_adaptive_levin", counted)
-    return calls
-
-
 class TestLevinAgainstGaussKronrod:
-    """The Levin path of the symbol integrals against oscillatory_quadrature."""
+    """The symbol integrals against oscillatory_quadrature."""
 
     TOL = 1e-10
 
-    def _check_symbol(self, xi, ctx, levin_calls, levin=True):
+    def _check_symbol(self, xi, ctx):
         fam = BumpFamily(d=ctx.d)
         zf = fam.zeta(math.ldexp(xi, ctx.k - ctx.l))
         phase = _g_phase(ctx, xi)
         direct = G_hat_direct(xi, ctx, fam, self.TOL)
-        assert bool(levin_calls) == levin, "the symbol took the other core"
         assert abs(direct - zf * _psi_oracle(phase, self.TOL, fam)) < self.TOL
         split = stationary_phase_split(xi, ctx, fam, self.TOL)
-        assert bool(levin_calls) == levin
         roots = critical_point(xi, ctx)
         windows = [lambda t, r=r: np.asarray(fam.xi0(np.asarray(t) - r))
                    for r in roots]
@@ -414,29 +398,28 @@ class TestLevinAgainstGaussKronrod:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("l", [6, 10])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_symbol_and_split(self, d, l, sign, levin_calls):
+    def test_symbol_and_split(self, d, l, sign):
         k = 40
         ctx = PhaseContext(d, k, l, 1.37 * math.ldexp(1.0, l - d * k))
-        self._check_symbol(sign * 1.9 * math.ldexp(1.0, l - k), ctx,
-                           levin_calls)
+        self._check_symbol(sign * 1.9 * math.ldexp(1.0, l - k), ctx)
 
-    def test_sampled_point_at_l12(self, levin_calls):
+    def test_sampled_point_at_l12(self):
         d, k, l = 2, 40, 12
         ctx = PhaseContext(d, k, l, 1.61 * math.ldexp(1.0, l - d * k))
-        self._check_symbol(-2.3 * math.ldexp(1.0, l - k), ctx, levin_calls)
+        self._check_symbol(-2.3 * math.ldexp(1.0, l - k), ctx)
 
     @pytest.mark.parametrize("d, k, l, xi", [(2, 12, 4, -1.3), (2, 12, 4, 0.7),
                                              (3, 8, 3, -1.2)])
-    def test_split_below_crossover(self, d, k, l, xi, levin_calls):
-        # the windows at the critical points are not even, so the
-        # reflected half of the Gauss-Kronrod core must take them at -u
+    def test_split_below_crossover(self, d, k, l, xi):
+        # few cycles, and windows at the critical points that are not
+        # even: the backward panels of the left half must take them at t
         ctx = PhaseContext(d, k, l, 1.4 * math.ldexp(1.0, l - d * k))
         xi = math.ldexp(xi, l - k)
         assert critical_point(xi, ctx)
-        self._check_symbol(xi, ctx, levin_calls, levin=False)
+        self._check_symbol(xi, ctx)
 
     @pytest.mark.parametrize("edge_root", [0.51, -0.51, 0.49])
-    def test_critical_point_near_psi_edge(self, edge_root, levin_calls):
+    def test_critical_point_near_psi_edge(self, edge_root):
         # a stationary point a hair inside or outside |t| = 1/2, where
         # psi starts: a panel layout that misses it loses digits
         d, k, l = 2, 40, 7
@@ -444,7 +427,7 @@ class TestLevinAgainstGaussKronrod:
         xi = -d * ctx.lam * math.ldexp(edge_root, k * (d - 1))
         (root,) = critical_point(xi, ctx)
         assert abs(root - edge_root) < 1e-12
-        self._check_symbol(xi, ctx, levin_calls)
+        self._check_symbol(xi, ctx)
 
     @pytest.mark.parametrize("X, Y, d", [
         # roots of phase' at 1.3 (d = 2) and +-1.1 (d = 3), inside supp psi
@@ -453,39 +436,20 @@ class TestLevinAgainstGaussKronrod:
         # Y = 0 and d odd: no root; H_j(1.1 * 2^-22, 0, 10, 3)
         pytest.param(1.1 * 2.0 ** 8, 0.0, 3, id="y0"),
     ])
-    def test_H_j(self, X, Y, d, levin_calls):
+    def test_H_j(self, X, Y, d):
         j = 10
         val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d,
                   tol=self.TOL)
-        assert levin_calls
         expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
                                          + Y * np.asarray(t)), self.TOL)
         assert abs(val - expect) < self.TOL
 
-    def test_below_crossover_is_the_reference_path(self, levin_calls):
-        # few cycles: H_j is oscillatory_quadrature on [1/2, 2] cut at
-        # psi's joint, minus the same on the reflected phase, bit for bit
-        x, y, j, d = 3e-4, 0.05, 5, 2
-        X, Y = math.ldexp(x, d * j), math.ldexp(y, j)
-        phase = osc._PolynomialPhase(X, Y, d)
-        assert (phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0)
-                < osc.LEVIN_MIN_CYCLES)
-        assert not [r for r in phase.critical_points if 0.5 < abs(r) < 2.0]
-        cut = (0.5, 1.0, 2.0)
-        right = oscillatory_quadrature(lambda t: -(X * t ** d + Y * t),
-                                       DEFAULT_BUMPS.psi, cut, 1e-10 / 2)
-        left = oscillatory_quadrature(lambda u: -(X * (-u) ** d - Y * u),
-                                      DEFAULT_BUMPS.psi, cut, 1e-10 / 2)
-        assert H_j(x, y, j, d) == -left + right
-        assert not levin_calls
-
-    def test_budget_exhaustion_carries_estimate(self, levin_calls):
+    def test_budget_exhaustion_carries_estimate(self):
         d, k, l = 2, 40, 10
         ctx = PhaseContext(d, k, l, 1.3 * math.ldexp(1.0, l - d * k))
         with pytest.raises(QuadratureError) as exc:
             G_hat_direct(-1.5 * math.ldexp(1.0, l - k), ctx, tol=1e-12,
                          panel_budget=6)
-        assert levin_calls
         est = np.asarray(exc.value.estimate)
         assert est.shape == (1,) and np.all(np.isfinite(est))
 
@@ -506,30 +470,46 @@ def _gauss_legendre_psi(X, Y, d, fam, panels=64, nodes=20):
 
 
 class TestBelowCrossover:
-    """The symbol integrals below the Levin crossover: the Gauss-Kronrod
-    core, with the left half of supp psi taken by reflection."""
+    """The symbol integrals at few cycles, where most Levin panels are
+    Clenshaw-Curtis ones."""
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("X, Y", [(0.0, 3.0), (5.0, -7.0), (12.0, 11.0),
                                       (-15.0, 2.5), (3.0, 0.0), (9.0, -30.0)])
-    def test_matches_gauss_legendre(self, X, Y, d, order, levin_calls):
+    def test_matches_gauss_legendre(self, X, Y, d, order):
         j, tol = 10, 1e-12
         fam = BumpFamily(d=d, smoothness_order=order)
         val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d, fam, tol)
-        assert not levin_calls
         assert abs(val - _gauss_legendre_psi(X, Y, d, fam)) <= tol
 
     @pytest.mark.parametrize("d, j, x", [(2, 8, 1e-5), (2, 8, -2e-4),
                                          (2, 8, 5e-4), (2, 12, 3e-7),
-                                         (4, 5, 1e-6), (4, 5, -7e-6)])
+                                         (4, 5, 1e-6), (4, 5, -7e-6),
+                                         # 12583 and 273804 cycles
+                                         (2, 12, 1e-4), (4, 8, 2e-6)])
     @pytest.mark.parametrize("tol", [1e-12, 1e-10])
-    def test_zero_at_y0_for_even_d(self, d, j, x, tol, levin_calls):
+    def test_zero_at_y0_for_even_d(self, d, j, x, tol):
         # psi is odd and the phase even, so the halves cancel exactly
-        phase = osc._PolynomialPhase(math.ldexp(x, d * j), 0.0, d)
-        assert 2 * phase.variation(0.5, 2.0) < osc.LEVIN_MIN_CYCLES
         assert H_j(x, 0.0, j, d, tol=tol) == 0j
-        assert not levin_calls
+
+
+@pytest.mark.parametrize("l", [4, 10], ids=["few-cycles", "many-cycles"])
+def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
+    # one production core: the Gauss-Kronrod panels are only the reference
+    def refuse(*args):
+        raise AssertionError("a symbol integral reached Gauss-Kronrod")
+
+    monkeypatch.setattr(osc, "_panel_batch", refuse)
+    d, k, j = 2, 12, 6
+    ctx = PhaseContext(d, k, l, 1.4 * math.ldexp(1.0, l - d * k))
+    xi = -1.3 * math.ldexp(1.0, l - k)
+    phase = osc._g_phase(ctx, xi)
+    cycles = phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0)
+    assert (cycles > osc._EQUAL_PANEL_CYCLES) == (l == 10)
+    H_j(math.ldexp(phase.X, -d * j), math.ldexp(phase.Y, -j), j, d)
+    G_hat_direct(xi, ctx)
+    stationary_phase_split(xi, ctx)
 
 
 class TestBudgetEstimates:
