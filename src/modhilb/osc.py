@@ -14,7 +14,10 @@ Every symbol integral here has the polynomial phase -(X t^d + Y t) and an
 amplitude that is smooth between breakpoints known in advance.  All of
 them run through one core, adaptive Levin collocation over both halves of
 supp psi, whose cost does not grow with the frequency and which falls
-back to Clenshaw-Curtis on panels of less than one turn.  The adaptive
+back to Clenshaw-Curtis on panels of less than one turn.  Its panels
+start graded toward each stationary point of the phase, from a width of
+half a cycle there, doubling outward, so bisection rarely has to find
+the stationary points one round at a time.  The adaptive
 Gauss-Kronrod quadrature of oscillatory_quadrature is the slow reference
 that core is tested against; no production path calls it.
 """
@@ -93,12 +96,14 @@ class BumpFamily:
         return float(res) if arr.ndim == 0 else res
 
     def psi(self, t):
-        # fused form of (eta(t) - eta(2t))/t: both smoothsteps clip to
-        # zero for |t| <= 1/2, so the quotient needs no support bookkeeping
+        # (eta(t) - eta(2t))/t from one smoothstep: for |t| < 1 eta(t) = 1
+        # and the numerator is S(2|t| - 1), which clips to zero for |t| <=
+        # 1/2; for |t| >= 1 eta(2t) = 1 - S(1) = 0 and it is 1 - S(|t| - 1)
         arr = np.asarray(t, dtype=float)
         a = np.abs(arr)
-        num = self._smoothstep(2.0 * a - 1.0)
-        num -= self._smoothstep(a - 1.0)
+        inner = a < 1.0
+        step = self._smoothstep(np.where(inner, 2.0 * a - 1.0, a - 1.0))
+        num = np.where(inner, step, 1.0 - step)
         res = np.divide(num, arr, out=np.zeros_like(num), where=arr != 0.0)
         return float(res) if arr.ndim == 0 else res
 
@@ -328,9 +333,11 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # 17 Chebyshev points per panel, index 0 at the right end.  The
 # even-indexed 9 form the nested rule; the gap between the 17-point and
 # the 9-point results is the error estimate.  Each rule is
-# (differentiation matrix, Clenshaw-Curtis weights, stride into the 17).
+# (differentiation matrix, complex as the collocation systems take it;
+# Clenshaw-Curtis weights; stride into the 17).
 _CHEB_X, _D17, _W17 = _chebyshev(16)
-_NESTED_RULES = ((_D17, _W17, 1), (*_chebyshev(8)[1:], 2))
+_NESTED_RULES = tuple((diff.astype(complex), wts, step) for diff, wts, step
+                      in ((_D17, _W17, 1), (*_chebyshev(8)[1:], 2)))
 _LEVIN_CHUNK = 1 << 10
 # A panel on which the phase turns through fewer cycles than this is
 # integrated by Clenshaw-Curtis on the same points: the 17 points resolve
@@ -366,6 +373,9 @@ class _PolynomialPhase:
         for _ in range(self.d - 2):
             p = p * t
         return -(self.d * self.X * p + self.Y)
+
+    def second_derivative(self, t: float) -> float:
+        return -(self.d * (self.d - 1) * self.X) * t ** (self.d - 2)
 
     @cached_property
     def critical_points(self) -> list[float]:
@@ -421,12 +431,14 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
             h = half[fast]
             rhs = amp[:, fast].transpose(1, 2, 0) * h[:, None, None]
             w = (2j * np.pi) * h[:, None] * dphi[fast]
-            e_hi = _oscillating_factor(phase, hi[sl][fast])[:, None]
-            e_lo = _oscillating_factor(phase, lo[sl][fast])[:, None]
+            e_hi, e_lo = _oscillating_factor(
+                phase, np.stack([hi[sl][fast], lo[sl][fast]]))[..., None]
             for out, (diff, _, step) in zip(both, _NESTED_RULES):
-                idx = np.arange(len(diff))
-                mat = np.broadcast_to(diff, (len(h),) + diff.shape).astype(complex)
-                mat[:, idx, idx] += w[:, ::step]
+                k = len(diff)
+                mat = np.empty((len(h), k, k), dtype=complex)
+                mat[:] = diff
+                # the diagonals, through a strided view
+                mat.reshape(len(h), k * k)[:, ::k + 1] += w[:, ::step]
                 p = np.linalg.solve(mat, rhs[:, ::step])
                 out[:, fast] = (p[:, 0] * e_hi - p[:, -1] * e_lo).T
         res[:, sl] = both[0]
@@ -470,16 +482,33 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     starts from panels broken at psi's joints, the critical points and
     the given breakpoints, where the weights may lose smoothness, and at
     or below _EQUAL_PANEL_CYCLES of phase variation from 16 equal panels
-    as well.  The left half is laid out as [1/2, 2] with its own cuts
-    reflected, then negated, so its panels run backward.  psi is odd, so
-    for w = 1, an even d and Y = 0 each backward panel computes the same
-    oriented integral as its mirror, bit for bit, and the result is
-    exactly 0 at every frequency.  A QuadratureError carries factor
-    times the estimate over all of supp psi, so it estimates the value a
-    successful call would return.
+    as well.  Each critical point r with phase''(r) != 0 also adds the
+    graded cuts r +- h 2^k, k = 0, 1, ... while h 2^k < 3/2 (the length
+    of a half), where h = |phase''(r)|^(-1/2) is the distance over which
+    the phase turns half a cycle away from r.  Near r the Levin solution
+    behaves like amplitude / phase', which has a pole at r, so a panel
+    converges only when its width is at most about its distance to r:
+    bisection would reach this geometric mesh one batch per level, and
+    starting from it saves those rounds.  The left half is laid out as
+    [1/2, 2] with its own cuts reflected, then negated, so its panels
+    run backward.  psi is odd, so for w = 1, an even d and Y = 0 each
+    backward panel computes the same oriented integral as its mirror,
+    bit for bit, and the result is exactly 0 at every frequency.  A
+    QuadratureError carries factor times the estimate over all of supp
+    psi, so it estimates the value a successful call would return.
     """
     # psi's smoothstep pieces meet at +-1
-    cuts = (-1.0, 1.0, *phase.critical_points, *breakpoints)
+    cuts = [-1.0, 1.0, *phase.critical_points, *breakpoints]
+    # graded cuts r +- h 2^k at each critical point r: the mesh that
+    # bisection toward r would reach one round at a time
+    for r in phase.critical_points:
+        curvature = abs(phase.second_derivative(r))
+        if curvature == 0.0:
+            continue
+        h = curvature ** -0.5
+        while h < 1.5:
+            cuts += [r - h, r + h]
+            h *= 2.0
     start = [0.5, 2.0]
     if phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0) <= _EQUAL_PANEL_CYCLES:
         start = np.linspace(0.5, 2.0, 17)

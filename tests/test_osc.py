@@ -80,6 +80,19 @@ class TestBumpFamily:
         with pytest.raises(ValueError):
             BumpFamily(d=1)
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_psi_is_the_two_smoothstep_quotient(self, order):
+        # psi takes one smoothstep where (eta(t) - eta(2t))/t takes two;
+        # they agree bit for bit because S(0) = 0 and S(1) = 1 exactly
+        fam = BumpFamily(smoothness_order=order)
+        assert fam._smoothstep(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+        t = np.union1d(np.linspace(-2.5, 2.5, 20001),
+                       [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+        a = np.abs(t)
+        num = fam._smoothstep(2.0 * a - 1.0) - fam._smoothstep(a - 1.0)
+        quotient = np.divide(num, t, out=np.zeros_like(t), where=t != 0.0)
+        assert np.array_equal(fam.psi(t), quotient)
+
     def test_xi0_radius(self):
         fam = BumpFamily(d=2)
         assert fam.xi0(0.0) == 1.0
@@ -510,6 +523,27 @@ def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
     H_j(math.ldexp(phase.X, -d * j), math.ldexp(phase.Y, -j), j, d)
     G_hat_direct(xi, ctx)
     stationary_phase_split(xi, ctx)
+
+
+@pytest.mark.parametrize("d, r", [(2, 0.68), (3, 0.67)])
+def test_graded_cuts_save_the_bisection_rounds(d, r, monkeypatch):
+    # a critical point inside supp psi at 2^13 cycles' scale: the graded
+    # cuts around it start the Levin core on the mesh that bisection
+    # toward it reaches one batch per round, in 7 batches without them
+    batches = []
+    levin_batch = osc._levin_batch
+
+    def counted(*args):
+        batches.append(args)
+        return levin_batch(*args)
+
+    monkeypatch.setattr(osc, "_levin_batch", counted)
+    k, l = 40, 13
+    ctx = PhaseContext(d, k, l, 1.37 * math.ldexp(1.0, l - d * k))
+    xi = -d * ctx.lam * math.ldexp(r ** (d - 1), k * (d - 1))
+    assert abs(critical_point(xi, ctx)[0] - r) < 1e-12
+    G_hat_direct(xi, ctx, tol=1e-8)
+    assert len(batches) <= 2
 
 
 class TestBudgetEstimates:

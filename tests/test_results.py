@@ -4,14 +4,15 @@ committed CSV in tests/results/.
 A change that moves a reported number re-records the CSV in the same
 change (`PYTHONPATH=src python tests/test_results.py`), so the diff
 shows the moved cells.  That rewrites only the CSVs the test would
-fail on, so a CSV whose cells stay within their floors keeps its bytes.
+fail on, and in them only the moved cells unless the header or row count
+moved, so a cell within its floor keeps its bytes; it prints each moved
+cell with its committed value first.
 """
 
 import csv
 import json
 import math
 import re
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -70,6 +71,12 @@ def _cell_moved(got: str, want: str, floor: float) -> bool:
     return not math.isclose(got_f, want_f, rel_tol=1e-9, abs_tol=floor)
 
 
+def _moved_cells(name: str, got, want) -> list[tuple[int, int]]:
+    """(row, column) of each cell of got that moved from want."""
+    return [(i, c) for i in range(1, len(want)) for c in range(len(want[0]))
+            if _cell_moved(got[i][c], want[i][c], FLOORS[name])]
+
+
 def _moved(name: str, out_dir: Path) -> list[str]:
     """How the CSV recorded in out_dir departs from the committed one:
     its header, its row count, or else each moved cell."""
@@ -79,10 +86,9 @@ def _moved(name: str, out_dir: Path) -> list[str]:
         return [f"{name}: header {got[0]} != {want[0]}"]
     if len(got) != len(want):
         return [f"{name}: {len(got) - 1} rows, committed {len(want) - 1}"]
-    return [f"{name}.csv row {i} column {col}: {g} != committed {w}"
-            for i, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=1)
-            for col, g, w in zip(want[0], g_row, w_row)
-            if _cell_moved(g, w, FLOORS[name])]
+    return [f"{name}.csv row {i} column {want[0][c]}: {got[i][c]} "
+            f"!= committed {want[i][c]}"
+            for i, c in _moved_cells(name, got, want)]
 
 
 def test_ledger_matches_committed_results(tmp_path):
@@ -96,15 +102,32 @@ def test_ledger_matches_committed_results(tmp_path):
     assert not moved, "\n".join(moved)
 
 
+def _rerecord(name: str, out_dir: Path) -> None:
+    """Commit the moved cells of the CSV recorded in out_dir, or all of
+    it when its header or row count moved or none is committed."""
+    got = _rows(out_dir / f"{name}.csv")
+    path = RESULTS / f"{name}.csv"
+    rows = _rows(path) if path.exists() else []
+    if rows[:1] == got[:1] and len(rows) == len(got):
+        for i, c in _moved_cells(name, got, rows):
+            rows[i][c] = got[i][c]
+    else:
+        rows = got
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 if __name__ == "__main__":
     # re-record the CSVs that moved, or that are not committed yet
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
             passed = _record(name, tmp)
-            moved = (not (RESULTS / f"{name}.csv").exists()
-                     or _moved(name, Path(tmp)))
+            moved = (_moved(name, Path(tmp))
+                     if (RESULTS / f"{name}.csv").exists()
+                     else [f"{name}: not committed"])
+            for line in moved:
+                print(line)
             if moved:
-                shutil.copyfile(Path(tmp) / f"{name}.csv",
-                                RESULTS / f"{name}.csv")
+                _rerecord(name, Path(tmp))
             print(name, "pass" if passed else "FAIL",
                   "re-recorded" if moved else "unchanged")
