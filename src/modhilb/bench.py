@@ -263,7 +263,6 @@ def _exp_carleson(*, N: int = 512, J: int = 6, d: int = 2, grid_size: int = 32,
 def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
                           tol: float = 1e-8, l_min: int = 8, l_max: int = 14,
                           n_xi: int = 50):
-    budget = 2 ** 21
     l_fit = list(range(l_min, l_max + 1))
     rng = make_rng(seed)
     fam = osc.BumpFamily(d=d)
@@ -279,9 +278,9 @@ def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
             ctx = osc.PhaseContext(d, k, l, float(slab * rng.uniform(1.0, 2.0)))
             xi = float(rng.uniform(0.25, 4.0) * scale *
                        (1 if rng.random() < 0.5 else -1))
-            direct = osc.G_hat_direct(xi, ctx, fam, tol, budget)
+            direct = osc.G_hat_direct(xi, ctx, fam, tol)
             a_hat, b_plus, b_minus = osc.stationary_phase_split(
-                xi, ctx, fam, tol, budget)
+                xi, ctx, fam, tol)
             total = a_hat + b_plus + (b_minus or 0j)
             recon = max(recon, abs(total - direct))
         worst_recon = max(worst_recon, recon)
@@ -294,14 +293,13 @@ def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
             for m in range(48):
                 u = 0.25 + 3.75 * m / 47.0
                 for su in (u, -u):
-                    val = abs(osc.G_hat_direct(su * scale, ctx, fam, tol,
-                                               budget))
+                    val = abs(osc.G_hat_direct(su * scale, ctx, fam, tol))
                     if val > peak:
                         peak, peak_arg = val, su
         else:
             for du in np.linspace(-0.15, 0.15, 9):
                 val = abs(osc.G_hat_direct((peak_arg + du) * scale, ctx, fam,
-                                           tol, budget))
+                                           tol))
                 peak = max(peak, val)
         peaks.append(peak)
         rows.append({"l": l, "max_recon_error": recon, "peak_abs": peak})

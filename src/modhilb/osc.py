@@ -194,7 +194,7 @@ def _panel_batch(phase, amplitude, lo: np.ndarray,
 
 
 def _oriented_sum(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The integral over the union of the panels, from their (n_out,
+    """The integral over the union of the panels, from their (rows,
     panels) oriented integrals: a panel with lo > hi ran backward, so it
     counts with the opposite sign.  Forward and backward panels are summed
     apart, so mirror layouts of equal values cancel exactly."""
@@ -207,11 +207,11 @@ def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
                          panel_budget: int) -> np.ndarray:
     """Bisect failing panels until the summed error estimates meet tol.
 
-    batch(lo, hi) returns the (n_out, panels) oriented integrals and
+    batch(lo, hi) returns the (rows, panels) oriented integrals and
     error estimates over [lo_i, hi_i], where a panel may run backward
     (lo_i > hi_i); vals and err hold them for the panels already laid
-    out, which count against panel_budget.  Returns the length-n_out
-    integral over the union of the panels (_oriented_sum).  On exhaustion
+    out, which count against panel_budget.  Returns one integral per row
+    over the union of the panels (_oriented_sum).  On exhaustion
     raises QuadratureError whose estimate is that integral so far.
     """
     created = len(lo_e)
@@ -399,9 +399,10 @@ class _PolynomialPhase:
         return sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:]))
 
 
-def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
-                 lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levin integrals and error estimates over each [lo_i, hi_i].
+def _levin_batch(phase: _PolynomialPhase, amplitude, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levin integrals and error estimates over each [lo_i, hi_i], as
+    (rows, panels) arrays for the rows of the amplitude stack.
 
     On each panel, collocation at the Chebyshev points solves
     p' + 2 pi i phase' p = a for every amplitude of the stack at once;
@@ -412,17 +413,16 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
     between the 17-point and the nested 9-point results.
     """
     n = len(lo)
-    res = np.empty((n_out, n), dtype=complex)
-    err = np.empty((n_out, n))
+    res, err = [], []
     for start in range(0, n, _LEVIN_CHUNK):
         sl = slice(start, min(start + _LEVIN_CHUNK, n))
         half = 0.5 * (hi[sl] - lo[sl])
         t = 0.5 * (lo[sl] + hi[sl])[:, None] + half[:, None] * _CHEB_X
-        amp = np.asarray(amplitude(t.ravel())).reshape((n_out,) + t.shape)
+        amp = np.asarray(amplitude(t.ravel())).reshape((-1,) + t.shape)
         dphi = phase.derivative(t)
         slow = 2.0 * np.abs(half) * np.abs(dphi).max(axis=1) < _LEVIN_MIN_TURNS
         fast = ~slow
-        both = np.empty((2, n_out, len(half)), dtype=complex)
+        both = np.empty((2,) + amp.shape[:2], dtype=complex)
         if slow.any():
             f = amp[:, slow] * _oscillating_factor(phase, t[slow])
             for out, (_, wts, step) in zip(both, _NESTED_RULES):
@@ -441,44 +441,21 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, n_out: int,
                 mat.reshape(len(h), k * k)[:, ::k + 1] += w[:, ::step]
                 p = np.linalg.solve(mat, rhs[:, ::step])
                 out[:, fast] = (p[:, 0] * e_hi - p[:, -1] * e_lo).T
-        res[:, sl] = both[0]
-        err[:, sl] = np.abs(both[0] - both[1])
-    return res, err
-
-
-def _adaptive_levin(phase: _PolynomialPhase, amplitude, n_out: int,
-                    edges: list[np.ndarray], tol: float,
-                    panel_budget: int) -> np.ndarray:
-    """Integrate e(phase) times the n_out stacked amplitudes, adaptively.
-
-    edges holds one monotone breakpoint array per interval of the domain;
-    a decreasing one lays its panels out backward, and the result is
-    still the integral over the interval (_oriented_sum).  The amplitudes
-    must be smooth between breakpoints and phase' may vanish only at
-    them.  Failing panels are bisected until the summed error estimates
-    meet tol; the cost depends on the amplitudes' smoothness and on the
-    critical points, not on the frequency.
-    """
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-
-    def batch(lo, hi):
-        return _levin_batch(phase, amplitude, n_out, lo, hi)
-
-    vals, err = batch(lo, hi)
-    return _bisect_to_tolerance(batch, lo, hi, vals, err, tol, panel_budget)
+        res.append(both[0])
+        err.append(np.abs(both[0] - both[1]))
+    return np.concatenate(res, axis=1), np.concatenate(err, axis=1)
 
 
 def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
                             tol: float, panel_budget: int, weights=None,
-                            n_out: int = 1, breakpoints=(),
-                            factor: complex = 1.0) -> np.ndarray:
+                            breakpoints=(), factor: complex = 1.0) -> np.ndarray:
     """factor times the integrals of e(phase) psi w_i over supp psi.
 
-    weights maps a node array to an (n_out, nodes) real stack, or is
-    None for the single weight 1; the common factor is evaluated once per
-    node and shared, so the cost of n_out integrals is close to the cost
-    of one.  One Levin call covers both halves of supp psi.  Each half
+    weights maps a node array to an (n, nodes) real stack, or is None for
+    the single weight 1; the common factor is evaluated once per node and
+    shared, so the cost of n integrals is close to the cost of one.  One
+    Levin batch covers both halves of supp psi, and failing panels are
+    bisected until the summed error estimates meet tol.  Each half
     starts from panels broken at psi's joints, the critical points and
     the given breakpoints, where the weights may lose smoothness, and at
     or below _EQUAL_PANEL_CYCLES of phase variation from 16 equal panels
@@ -489,12 +466,16 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     behaves like amplitude / phase', which has a pole at r, so a panel
     converges only when its width is at most about its distance to r:
     bisection would reach this geometric mesh one batch per level, and
-    starting from it saves those rounds.  The left half is laid out as
-    [1/2, 2] with its own cuts reflected, then negated, so its panels
-    run backward.  psi is odd, so for w = 1, an even d and Y = 0 each
-    backward panel computes the same oriented integral as its mirror,
-    bit for bit, and the result is exactly 0 at every frequency.  A
-    QuadratureError carries factor times the estimate over all of supp
+    starting from it saves those rounds.  The weights must be smooth
+    between breakpoints, and phase' vanishes only at cuts, so the cost
+    depends on the weights' smoothness and on the critical points, not
+    on the frequency.  Each half's edges are monotone: the left half is
+    laid out as [1/2, 2] with its own cuts reflected, then negated, so
+    its panels run backward, and the result is still the integral over
+    the half (_oriented_sum).  psi is odd, so for w = 1, an even d and
+    Y = 0 each backward panel computes the same oriented integral as its
+    mirror, bit for bit, and the result is exactly 0 at every frequency.
+    A QuadratureError carries factor times the estimate over all of supp
     psi, so it estimates the value a successful call would return.
     """
     # psi's smoothstep pieces meet at +-1
@@ -514,14 +495,20 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
         start = np.linspace(0.5, 2.0, 17)
     right = np.unique([*start, *(c for c in cuts if 0.5 < c < 2.0)])
     left = -np.unique([*start, *(-c for c in cuts if -2.0 < c < -0.5)])
+    lo = np.concatenate([left[:-1], right[:-1]])
+    hi = np.concatenate([left[1:], right[1:]])
 
     def amplitude(t):
         base = fam.psi(t)[None, :]
         return base if weights is None else base * weights(t)
 
+    def batch(lo, hi):
+        return _levin_batch(phase, amplitude, lo, hi)
+
+    vals, err = batch(lo, hi)
     try:
-        return factor * _adaptive_levin(phase, amplitude, n_out, [left, right],
-                                        tol, panel_budget)
+        return factor * _bisect_to_tolerance(batch, lo, hi, vals, err, tol,
+                                             panel_budget)
     except QuadratureError as exc:
         raise QuadratureError(str(exc), factor * exc.estimate) from None
 
@@ -637,8 +624,8 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     window_joints = [r + u / (8.0 * fam.d) for r in roots
                      for u in (-2.0, -1.0, 1.0, 2.0)]
     parts = [complex(v) for v in _psi_support_quadrature(
-        phase, fam, tol, panel_budget, weight_stack, 1 + len(roots),
-        window_joints, factor=zf)]
+        phase, fam, tol, panel_budget, weight_stack, window_joints,
+        factor=zf)]
     # for d odd the two roots are +/- r with r > 0, the plus part the
     # window at the larger root; with no root the B parts vanish
     parts += [0j] * (3 - len(parts))

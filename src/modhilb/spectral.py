@@ -216,36 +216,14 @@ def _e_neg(t: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_taps(pos: np.ndarray,
-              w_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The odd kernel with weights w_pos on pos, as [-pos[::-1], pos]."""
-    return (np.concatenate([-pos[::-1], pos]),
-            np.concatenate([-w_pos[::-1], w_pos]))
-
-
-def _positive_half(taps) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, w on pos) of an odd tap table laid out as [-pos[::-1], pos].
-
-    Raises ValueError on any other layout, or on weights that are not
-    exactly odd.
-    """
-    m, w = taps
-    half = len(m) // 2
-    pos, w_pos = m[half:], w[half:]
-    if not np.array_equal(m[:half], -pos[::-1]):
-        raise ValueError("taps must be laid out as [-pos[::-1], pos]")
-    if not np.array_equal(w[:half], -w_pos[::-1]):
-        raise ValueError("tap weights must be odd, w(-m) = -w(m)")
-    return pos, w_pos
-
-
 @functools.lru_cache(maxsize=32)
 def _tap_table(kind: str, n: int,
                smoothness_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The odd tap table of one kernel, built once and read-only.
+    """The odd kernel of one multiplier as (pos, w), built once and read-only.
 
-    kind "block" is psi_j on the support of psi_j, j = n; "partition" the
-    blocks j = 1..n summed, with 1/m at m = +-1; "sharp" 1/m for
+    The kernel is w(m) at each m of pos and -w(m) at -m.  kind "block"
+    is psi_j on the support of psi_j, j = n; "partition" the blocks
+    j = 1..n summed, with 1/m at m = +-1; "sharp" 1/m for
     0 < |m| <= n (smoothness_order 0).  psi depends on the smoothness
     order alone, not on d or c_chi, so equal families share a table.
     """
@@ -263,10 +241,9 @@ def _tap_table(kind: str, n: int,
     else:
         pos = np.arange(1, n + 1, dtype=np.int64)
         w = 1.0 / pos
-    taps = _odd_taps(pos, w)
-    for a in taps:
-        a.setflags(write=False)
-    return taps
+    pos.setflags(write=False)
+    w.setflags(write=False)
+    return pos, w
 
 
 def _block_taps(j: int,
@@ -287,13 +264,13 @@ def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symbol(lam: float, beta: float, taps, d: int) -> complex:
-    """sum_m w(m) e(-lam m^d - beta m) over the odd tap table taps = (m, w).
+    """sum_m w(m) e(-lam m^d - beta m) over the odd kernel taps = (pos, w).
 
     Summed over the positive taps: the pair +-m gives
     -2i w(m) e(-lam m^d) sin(2 pi beta m) for d even, and
     -2i w(m) sin(2 pi (lam m^d + beta m)) for d odd.
     """
-    pos, w = _positive_half(taps)
+    pos, w = taps
     lam_ph = _phase(lam, pos, d)
     beta_ph = _phase(beta, pos, 1)
     if d % 2 == 0:
@@ -332,22 +309,22 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
                        ring_size: int):
     """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
 
-    taps = (m, w) is the kernel's lambda-independent tap table (the
-    _*_taps builders), odd and laid out as [-pos[::-1], pos].  Each
-    kernel is built in place: the phase words of pos^d, taken once per
-    call, give w e(-lam m^d) on pos through _e_neg, and the tap at -m
-    is minus that value, conjugated for odd d.  f is embedded and
-    transformed once; taps beyond the ring wrap and add up.  One dft and
-    one idft run per lam, and each row yielded is a fresh array.
+    taps = (pos, w) is the odd kernel's lambda-independent tap table (the
+    _*_taps builders), w(m) at m in pos and -w(m) at -m.  Each kernel is
+    built in place: the phase words of pos^d, taken once per call, give
+    w e(-lam m^d) on pos through _e_neg, and the tap at -m is minus that
+    value, conjugated for odd d.  f is embedded and transformed once;
+    taps beyond the ring wrap and add up.  One dft and one idft run per
+    lam, and each row yielded is a fresh array.
     """
-    pos, w_pos = _positive_half(taps)
+    pos, w = taps
     md = _tap_powers(pos, d)
     idx_pos, idx_neg = pos % ring_size, -pos % ring_size
     fhat = dft(_embed_on_ring(f, ring_size))
     vals = np.empty(len(pos), dtype=complex)
     ker = np.empty(ring_size, dtype=complex)
     for lam in lams:
-        _e_neg(_reduce(lam, md), w_pos, vals)
+        _e_neg(_reduce(lam, md), w, vals)
         ker.fill(0.0)
         np.add.at(ker, idx_pos, vals)
         if d % 2:
@@ -404,7 +381,7 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
         raise ValueError("empty modulation grid")
     ring = _embed_on_ring(f, ring_size)
     acc = np.zeros(ring_size)
-    ms, _ = _sharp_taps(M_radius)
+    ms = np.concatenate([np.arange(-M_radius, 0), np.arange(1, M_radius + 1)])
     for lam in grid.points:
         coeff = np.exp(-2j * np.pi * _phase(lam, ms, d)) / ms
         out = np.zeros(ring_size, dtype=complex)

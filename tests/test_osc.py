@@ -546,6 +546,25 @@ def test_graded_cuts_save_the_bisection_rounds(d, r, monkeypatch):
     assert len(batches) <= 2
 
 
+def test_levin_chunks_change_no_value(monkeypatch):
+    # at l = 4 each half of supp psi starts from 16 equal panels, so with
+    # chunks of 16 a batch runs the chunk loop more than once and joins
+    # the chunks' rows, which must give the values of one chunk
+    def values():
+        out = []
+        for d, l in [(2, 4), (2, 9), (2, 13), (3, 4), (3, 9), (3, 13)]:
+            ctx = PhaseContext(d, 40, l, 1.37 * math.ldexp(1.0, l - d * 40))
+            for u in (-3.1, -1.9, -0.7, 0.6, 2.2):
+                xi = u * math.ldexp(1.0, l - 40)
+                out += ([G_hat_direct(xi, ctx)] if d == 2
+                        else stationary_phase_split(xi, ctx))
+        return np.array(out)
+
+    default = values()
+    monkeypatch.setattr(osc, "_LEVIN_CHUNK", 16)
+    assert np.abs(values() - default).max() <= 1e-15
+
+
 class TestBudgetEstimates:
     """QuadratureError.estimate approximates the quantity the call returns."""
 
