@@ -372,7 +372,7 @@ def _exp_variation(*, n_max: int = 8,
                                     indexing="ij")).reshape(n, -1).T
         for r in r_list:
             brute = spectral.r_variation_bruteforce(seqs, r)
-            dp = np.array([spectral.r_variation(s, r) for s in seqs])
+            dp = spectral.r_variation(seqs, r)
             dev = float(np.abs(brute - dp).max())
             worst = max(worst, dev)
             rows.append({"n": n, "r": r, "max_abs_diff": dev})

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .farey import XSet, farey_neighbours, xset_contains
+from .farey import XSet, nearest_fraction, xset_contains
 from .osc import DEFAULT_BUMPS, BumpFamily, H_j
 from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_outputs,
                        multiplier_Mj)
@@ -120,19 +120,18 @@ def _contributing_centers(lam: float, beta: float, s: int,
     if radius > 2.0 ** (-2 * s - 1):
         raise ValueError(f"chi_s radius {radius} at s = {s} exceeds half the "
                          f"center separation, 2^{-2 * s - 1}")
-    radius = Fraction(radius)
+    r_num, r_den = radius.as_integer_ratio()
     near = []
-    for x in (Fraction(lam), Fraction(beta)):
-        dist, f = min((abs(x - g), g) for g in farey_neighbours(x, 2 ** s - 1))
-        if dist > radius:
+    for x in (float(lam), float(beta)):
+        f, (gap, den) = nearest_fraction(x, 2 ** s - 1)
+        if gap * r_den > r_num * den:
             return []
         near.append(f)
-    a, b = near
-    Q = math.lcm(a.denominator, b.denominator)
+    (a, qa), (b, qb) = near
+    Q = math.lcm(qa, qb)
     if not 2 ** (s - 1) <= Q < 2 ** s:
         return []
-    return [(a.numerator * (Q // a.denominator) % Q,
-             b.numerator * (Q // b.denominator) % Q, Q)]
+    return [(a * (Q // qa) % Q, b * (Q // qb) % Q, Q)]
 
 
 def _all_centers(s: int) -> list[tuple[int, int, int]]:

@@ -54,22 +54,24 @@ def reduce(a: int, q: int) -> ReducedFraction:
     return ReducedFraction(a // g, q // g)
 
 
-def farey_neighbours(x: Fraction, q_max: int) -> tuple[Fraction, Fraction]:
+def farey_neighbours(x, q_max: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The neighbours lo <= x <= hi of x in the Farey sequence of order q_max.
 
-    lo and hi are adjacent among the fractions with denominator <= q_max
-    (on the whole real line, so the nearest of them is the nearest such
-    fraction to x on the torus too), and lo == hi == x when x itself has
-    denominator <= q_max.  They are the last convergent of the continued
-    fraction of x with denominator <= q_max and the largest semiconvergent
-    that follows it, found in O(log q_max) exact integer steps.
+    x is any exact real with ``as_integer_ratio`` (a float, an int or a
+    Fraction); lo and hi are integer pairs (p, q), q >= 1, in lowest
+    terms.  They are adjacent among the fractions with denominator <=
+    q_max (on the whole real line, so the nearest of them is the nearest
+    such fraction to x on the torus too), and lo == hi == x when x itself
+    has denominator <= q_max.  They are the last convergent of the
+    continued fraction of x with denominator <= q_max and the largest
+    semiconvergent that follows it, found in O(log q_max) integer steps.
     """
     if q_max < 1:
         raise ValueError("q_max must be a positive integer")
-    if x.denominator <= q_max:
-        return x, x
+    n, d = x.as_integer_ratio()
+    if d <= q_max:
+        return (n, d), (n, d)
     p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = x.numerator, x.denominator
     while True:
         a = n // d
         if q0 + a * q1 > q_max:
@@ -77,9 +79,27 @@ def farey_neighbours(x: Fraction, q_max: int) -> tuple[Fraction, Fraction]:
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
         n, d = d, n - a * d
     k = (q_max - q0) // q1
-    semi = Fraction(p0 + k * p1, q0 + k * q1)
-    conv = Fraction(p1, q1)
-    return (semi, conv) if semi < conv else (conv, semi)
+    semi, conv = (p0 + k * p1, q0 + k * q1), (p1, q1)
+    # semi < conv, by cross-multiplication over positive denominators
+    return (semi, conv) if semi[0] * q1 < p1 * semi[1] else (conv, semi)
+
+
+def nearest_fraction(x, q_max: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The nearest p/q to x with q <= q_max, the smaller one on a tie, and
+    the distance |x - p/q| as an integer pair (numerator, denominator).
+
+    x is as in farey_neighbours; with x = n/d the distance is
+    |n q - p d| / (d q), so callers compare it with a bound u/v exactly
+    by cross-multiplication.
+    """
+    n, d = x.as_integer_ratio()
+    lo, hi = farey_neighbours(x, q_max)
+    gap_lo = abs(n * lo[1] - lo[0] * d)
+    gap_hi = abs(n * hi[1] - hi[0] * d)
+    # gap_lo / q_lo <= gap_hi / q_hi, cross-multiplied
+    if gap_lo * hi[1] <= gap_hi * lo[1]:
+        return lo, (gap_lo, d * lo[1])
+    return hi, (gap_hi, d * hi[1])
 
 
 def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
@@ -92,14 +112,22 @@ def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
     Only the two Farey neighbours of lam in F_{q_max} can win: any other
     such fraction on one side is farther than the neighbour there and
     fails the inequality.  The nearer neighbour may fail it too, and then
-    the farther one holds it (Dirichlet's theorem).  All comparisons are
-    exact.
+    the farther one holds it (Dirichlet's theorem).  With lam = n/d,
+    |lam - a/q| = |n q - a d| / (d q), so every comparison is an exact
+    integer one.
     """
-    x = Fraction(lam)
-    ok = [f for f in farey_neighbours(x, q_max)
-          if abs(x - f) <= Fraction(1, f.denominator * q_max)]
-    best = min(ok, key=lambda f: (abs(x - f), f.denominator))
-    return reduce(best.numerator, best.denominator)
+    lam = float(lam)
+    n, d = lam.as_integer_ratio()
+    best = None
+    for a, q in farey_neighbours(lam, q_max):
+        gap = abs(n * q - a * d)
+        if gap * q_max > d:
+            continue
+        # nearer (gap / q smaller, cross-multiplied), then smaller q
+        if best is None or (gap * best[2], q) < (best[0] * q, best[2]):
+            best = (gap, a, q)
+    assert best is not None, "Dirichlet's theorem guarantees a neighbour"
+    return reduce(best[1], best[2])
 
 
 def dirichlet_approx_bruteforce(lam: float, q_max: int) -> ReducedFraction:
@@ -156,9 +184,9 @@ class XSet:
 def xset_contains(lam: float, xs: XSet) -> bool:
     """True iff lam is within xs.width of some a/q with q <= floor(j^C).
 
-    One of lam's two Farey neighbours of that order is the nearest such
-    a/q; the distance is compared with the width exactly.
+    The nearest such a/q is one of lam's two Farey neighbours of that
+    order; its distance is compared with the width exactly.
     """
-    x = Fraction(lam)
-    width = Fraction(xs.width)
-    return any(abs(x - f) <= width for f in farey_neighbours(x, xs.q_bound))
+    _, (gap, den) = nearest_fraction(float(lam), xs.q_bound)
+    w_num, w_den = xs.width.as_integer_ratio()
+    return gap * w_den <= w_num * den

@@ -346,11 +346,23 @@ _LEVIN_CHUNK = 1 << 10
 _LEVIN_MIN_TURNS = 1.0
 
 # Phase variation int |phase'| over supp psi, in cycles, up to which each
-# half of supp psi starts from 16 equal panels as well as its cuts.  Below
+# half of supp psi starts from equal panels as well as its cuts.  Below
 # it most panels are Clenshaw-Curtis ones, and starting from the cuts
 # alone costs several rounds of bisection; above it the equal panels are
 # more than the oscillation needs, and cost time.
 _EQUAL_PANEL_CYCLES = 300.0
+
+
+def _equal_panels(tol: float) -> int:
+    """Equal panels per half of supp psi below _EQUAL_PANEL_CYCLES.
+
+    16 down to tol = 1e-8; below, the error of the nested 9-point rule,
+    which limits the estimate, falls like width^10, so the count grows
+    like tol^(-1/10) (41 at 1e-12), and the first batch mostly meets tol.
+    A tol below 1e-16, or <= 0, cannot be met any better than 1e-16 and
+    starts as 1e-16 does.
+    """
+    return max(16, math.ceil(16.0 * (1e-8 / max(tol, 1e-16)) ** 0.1))
 
 
 @dataclass(frozen=True)
@@ -426,7 +438,10 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, lo: np.ndarray,
         if slow.any():
             f = amp[:, slow] * _oscillating_factor(phase, t[slow])
             for out, (_, wts, step) in zip(both, _NESTED_RULES):
-                out[:, slow] = (f[..., ::step] @ wts) * half[slow]
+                # an elementwise product and a sum along the panel's
+                # points, not a matmul, so each panel's value does not
+                # depend on how many panels share the batch
+                out[:, slow] = (f[..., ::step] * wts).sum(axis=-1) * half[slow]
         if fast.any():
             h = half[fast]
             rhs = amp[:, fast].transpose(1, 2, 0) * h[:, None, None]
@@ -458,11 +473,12 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     bisected until the summed error estimates meet tol.  Each half
     starts from panels broken at psi's joints, the critical points and
     the given breakpoints, where the weights may lose smoothness, and at
-    or below _EQUAL_PANEL_CYCLES of phase variation from 16 equal panels
-    as well.  Each critical point r with phase''(r) != 0 also adds the
-    graded cuts r +- h 2^k, k = 0, 1, ... while h 2^k < 3/2 (the length
-    of a half), where h = |phase''(r)|^(-1/2) is the distance over which
-    the phase turns half a cycle away from r.  Near r the Levin solution
+    or below _EQUAL_PANEL_CYCLES of phase variation from
+    _equal_panels(tol) equal panels as well.  Each critical point r with
+    phase''(r) != 0 also adds the graded cuts r +- h 2^k, k = 0, 1, ...
+    while h 2^k < 3/2 (the length of a half), where h =
+    |phase''(r)|^(-1/2) is the distance over which the phase turns half
+    a cycle away from r.  Near r the Levin solution
     behaves like amplitude / phase', which has a pole at r, so a panel
     converges only when its width is at most about its distance to r:
     bisection would reach this geometric mesh one batch per level, and
@@ -492,7 +508,7 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
             h *= 2.0
     start = [0.5, 2.0]
     if phase.variation(-2.0, -0.5) + phase.variation(0.5, 2.0) <= _EQUAL_PANEL_CYCLES:
-        start = np.linspace(0.5, 2.0, 17)
+        start = np.linspace(0.5, 2.0, _equal_panels(tol) + 1)
     right = np.unique([*start, *(c for c in cuts if 0.5 < c < 2.0)])
     left = -np.unique([*start, *(-c for c in cuts if -2.0 < c < -0.5)])
     lo = np.concatenate([left[:-1], right[:-1]])

@@ -454,28 +454,32 @@ def ttstar_ratio_scan(s_values: Sequence[int], d: int, n_pairs: int = 40,
 # ---------------------------------------------------------------------------
 # variation and oscillation
 
-def r_variation(seq: Sequence[complex], r: float) -> float:
+def r_variation(seqs, r: float):
     """sup over increasing subsequences of the l^r norm of differences.
 
+    seqs is one sequence, which gives a float, or a (rows, n) stack of
+    them, which gives one value per row, as r_variation_bruteforce does.
     r = inf returns the diameter.  Dynamic programming over endpoint
-    indices: best[i] is the largest sum of r-th powers over paths ending
-    at i; O(n^2).
+    indices, for every row at once: best[:, i] is the largest sum of r-th
+    powers over paths ending at i; O(n^2) per row.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = np.asarray(seq, dtype=complex)
-    n = len(a)
+    a = np.asarray(seqs, dtype=complex)
+    stack = np.atleast_2d(a)
+    n = stack.shape[1]
     if n == 0:
         raise ValueError("sequence must be nonempty")
-    if n == 1:
-        return 0.0
-    diff = np.abs(a[None, :] - a[:, None])
+    # diff[:, i, k] = |a_k - a_i|
+    diff = np.abs(stack[:, None, :] - stack[:, :, None])
     if math.isinf(r):
-        return float(diff.max())
-    best = np.zeros(n)
-    for i in range(1, n):
-        best[i] = (best[:i] + diff[:i, i] ** r).max()
-    return float(best.max() ** (1.0 / r))
+        out = diff.max(axis=(1, 2))
+    else:
+        best = np.zeros(stack.shape)
+        for i in range(1, n):
+            best[:, i] = (best[:, :i] + diff[:, :i, i] ** r).max(axis=1)
+        out = best.max(axis=1) ** (1.0 / r)
+    return float(out[0]) if a.ndim == 1 else out
 
 
 def r_variation_bruteforce(seqs: np.ndarray, r: float) -> np.ndarray:

@@ -12,11 +12,14 @@ The residues a r^d mod q are reduced in exact integer arithmetic before
 the single transcendental call, so no drift accumulates even for large
 q, and b enters through one length-q FFT.  The summation index runs
 1..q; by periodicity this agrees with 0..q-1, the order the FFT uses.
+Rows are kept read-only in a small least-recently-used cache, since the
+circle method asks for the same few rows at point after point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +50,44 @@ class WeylTriple:
             raise ValueError("need gcd(a, b, q) = 1")
 
 
-def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
+def _fresh_row(a: int, q: int, d: int) -> np.ndarray:
     """S(a/q, b/q) for all b = 0..q-1 at once, via a length-q DFT.
 
     With x_r = e(-(a/q) r^d), the b-th sum is (1/q) * DFT(x)[b]; the
-    residues a r^d mod q are computed exactly before exponentiation.
+    residues a r^d mod q are computed exactly in int64 (every product
+    stays below q^2, so q < 3e9) before exponentiation.
     """
-    rd = np.array([pow(r, d, q) for r in range(q)], dtype=np.int64)
+    r = np.arange(q, dtype=np.int64)
+    rd = r
+    for _ in range(d - 1):
+        rd = rd * r % q
     ks = (a * rd) % q
     x = np.exp(-2j * np.pi * ks / q)
     return np.fft.fft(x) / q
+
+
+# read-only rows by (a, q, d), least recently used first, holding at
+# most _ROW_CACHE_BYTES of row data
+_ROWS: OrderedDict = OrderedDict()
+_ROW_CACHE_BYTES = 1 << 19
+_row_bytes = 0
+
+
+def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
+    """The read-only row S(a/q, b/q), b = 0..q-1, built once while cached."""
+    global _row_bytes
+    key = (a, q, d)
+    row = _ROWS.get(key)
+    if row is not None:
+        _ROWS.move_to_end(key)
+        return row
+    row = _fresh_row(a, q, d)
+    row.setflags(write=False)
+    _ROWS[key] = row
+    _row_bytes += row.nbytes
+    while _row_bytes > _ROW_CACHE_BYTES:
+        _row_bytes -= _ROWS.popitem(last=False)[1].nbytes
+    return row
 
 
 def complete_weyl_sum(t: WeylTriple) -> complex:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modhilb import circle
 from modhilb.circle import (ApproxParams, L_j, L_js, L_js_full_enumeration,
@@ -16,6 +18,8 @@ from modhilb.osc import H_j
 from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
                               multiplier_Mj)
 from modhilb.weyl import WeylTriple, complete_weyl_sum
+
+from test_farey import EXACT_EDGE_FLOATS
 
 
 P2 = ApproxParams(d=2)
@@ -58,6 +62,12 @@ class TestExactOffset:
         assert _exact_offset(lam, 1, 2) == 2.0 ** -40
 
 
+def _within(x, num, den, radius):
+    """|x - num/den| on the torus <= radius, compared exactly."""
+    delta = Fraction(x) - Fraction(num, den)
+    return abs(delta - round(delta)) <= Fraction(radius)
+
+
 class TestContributingCenters:
     def test_at_most_one_center(self):
         # the full center set filtered by both cutoffs, compared exactly,
@@ -83,6 +93,26 @@ class TestContributingCenters:
                             if near(lam, A, Q) and near(beta, B, Q)]
                 assert len(expected) <= 1
                 assert _contributing_centers(lam, beta, s, P2) == expected
+
+    @given(st.integers(min_value=1, max_value=3),
+           EXACT_EDGE_FLOATS, EXACT_EDGE_FLOATS,
+           st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)))
+    @example(1, 0.0, -5e-324, (0.0, 0.0))
+    @example(2, -0.5, 0.25, (0.0, 0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_scan_off_the_unit_interval(self, s, lam, beta,
+                                                         shift):
+        # negative, subnormal and exactly rational points, and the same
+        # points moved to within 1.3 radii of the nearest scale-s center
+        radius = P2.chi_s_radius(s)
+        centers = _all_centers(s)
+        a, b, q = centers[int(abs(lam) * 1e6) % len(centers)]
+        moved = (-a / q + shift[0] * radius, b / q - 1.0 + shift[1] * radius)
+        for x, y in ((lam, beta), moved):
+            expected = [(A, B, Q) for A, B, Q in centers
+                        if _within(x, A, Q, radius)
+                        and _within(y, B, Q, radius)]
+            assert _contributing_centers(x, y, s, P2) == expected
 
     def test_finds_nearby_center(self):
         eps = 0.25 * P2.chi_s_radius(2)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from modhilb.farey import (ReducedFraction, XSet, dirichlet_approx,
                            dirichlet_approx_bruteforce, dyadic_width,
-                           farey_neighbours, reduce, xset_contains)
+                           farey_neighbours, nearest_fraction, reduce,
+                           xset_contains)
 
 
 class TestReduce:
@@ -61,7 +62,8 @@ class TestDirichletApprox:
         # 1/31 is the nearest fraction, but the inequality rejects it
         lam = 0.016527635528529094
         x = Fraction(lam)
-        nearest = min(farey_neighbours(x, 31), key=lambda f: abs(x - f))
+        nearest = min((Fraction(*f) for f in farey_neighbours(x, 31)),
+                      key=lambda f: abs(x - f))
         assert nearest == Fraction(1, 31)
         assert dirichlet_approx(lam, 31) == ReducedFraction(0, 1)
 
@@ -107,16 +109,49 @@ class TestFareyNeighbours:
     @example(Fraction(5e-324), 7)
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce_scan(self, x, q_max):
-        lo, hi = farey_neighbours(x, q_max)
+        pairs = farey_neighbours(x, q_max)
+        assert all(q >= 1 and math.gcd(p, q) == 1 for p, q in pairs)
+        lo, hi = (Fraction(*f) for f in pairs)
         level = _farey_bruteforce(q_max)
         assert lo <= x <= hi
         assert lo.denominator <= q_max and hi.denominator <= q_max
         assert not any(lo < f < hi for f in level)
         assert (lo == hi) == (x in level)
 
+    def test_float_and_fraction_agree(self):
+        for x in (0.3, -0.3, 5e-324, 1 / 3, 0.5, 1.0 - 2 ** -53):
+            for q_max in (1, 7, 127):
+                assert farey_neighbours(x, q_max) == farey_neighbours(
+                    Fraction(x), q_max)
+
     def test_invalid_q_max(self):
         with pytest.raises(ValueError):
             farey_neighbours(Fraction(1, 3), 0)
+
+
+# floats off the unit interval and at its ends: negative, subnormal (of
+# both signs) and exactly rational ones, k / 2^m
+EXACT_EDGE_FLOATS = st.one_of(
+    st.floats(min_value=-2.0, max_value=0.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.tuples(st.integers(-2 ** 10, 2 ** 10), st.integers(0, 10)).map(
+        lambda km: math.ldexp(km[0], -km[1])))
+
+
+class TestNearestFraction:
+    @given(EXACT_EDGE_FLOATS, st.integers(min_value=1, max_value=40))
+    @example(5e-324, 7)
+    @example(-5e-324, 7)
+    @example(-0.5, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_scan(self, x, q_max):
+        # the nearest a/q, the smaller on a tie, and its exact distance
+        xf = Fraction(x)
+        scan = min((abs(xf - Fraction(a, q)), Fraction(a, q))
+                   for q in range(1, q_max + 1)
+                   for a in (math.floor(xf * q), math.floor(xf * q) + 1))
+        f, (gap, den) = nearest_fraction(x, q_max)
+        assert (Fraction(gap, den), Fraction(*f)) == scan
 
 
 class TestXSet:
@@ -170,6 +205,19 @@ class TestXSet:
                      for q in range(1, xs.q_bound + 1)
                      for a in (math.floor(x * q), math.floor(x * q) + 1))
         assert xset_contains(point, xs) == inside
+
+    @given(st.integers(min_value=3, max_value=9), EXACT_EDGE_FLOATS)
+    @example(6, -1 / 36 + 2 ** -7)
+    @example(6, -5e-324)
+    @example(6, 0.375)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_scan_off_the_unit_interval(self, j, x):
+        xs = XSet(j=j, exponent_C=2.0, d=2)
+        xf = Fraction(x)
+        inside = any(abs(xf - Fraction(a, q)) <= Fraction(xs.width)
+                     for q in range(1, xs.q_bound + 1)
+                     for a in (math.floor(xf * q), math.floor(xf * q) + 1))
+        assert xset_contains(x, xs) == inside
 
     def test_dyadic_width_rounding(self):
         assert dyadic_width(1, 2.0, 2) == 2.0 ** -2

@@ -547,7 +547,7 @@ def test_graded_cuts_save_the_bisection_rounds(d, r, monkeypatch):
 
 
 def test_levin_chunks_change_no_value(monkeypatch):
-    # at l = 4 each half of supp psi starts from 16 equal panels, so with
+    # at l = 4 each half of supp psi starts from 26 equal panels, so with
     # chunks of 16 a batch runs the chunk loop more than once and joins
     # the chunks' rows, which must give the values of one chunk
     def values():
@@ -563,6 +563,66 @@ def test_levin_chunks_change_no_value(monkeypatch):
     default = values()
     monkeypatch.setattr(osc, "_LEVIN_CHUNK", 16)
     assert np.abs(values() - default).max() <= 1e-15
+
+
+def _random_h_j_values():
+    # 200 H_j values of d = 2 and 3 from 0.01 to 1e3 cycles' scale, at the
+    # tolerances the library uses, plus 60 even-phase H_j(x, 0)
+    rng = np.random.Generator(np.random.Philox(29))
+    vals, zeros = [], []
+    for i in range(260):
+        d = 2 + i % 2 if i < 200 else (2, 4, 6)[i % 3]
+        j = int(rng.integers(4, 11))
+        X, Y = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-2.0, 3.0, 2)
+        tol = (1e-8, 1e-10, 1e-12)[i % 3]
+        if i < 200:
+            vals.append(H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d,
+                            tol=tol))
+        else:
+            zeros.append(H_j(math.ldexp(X, -d * j), 0.0, j, d, tol=tol))
+    return np.array(vals), np.array(zeros)
+
+
+@pytest.fixture(scope="module")
+def default_chunk_values():
+    return _random_h_j_values()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1024])
+def test_levin_values_do_not_depend_on_the_batch(chunk, default_chunk_values,
+                                                 monkeypatch):
+    # each panel's arithmetic is its own, whichever panels share its chunk
+    monkeypatch.setattr(osc, "_LEVIN_CHUNK", chunk)
+    vals, zeros = _random_h_j_values()
+    assert np.array_equal(vals, default_chunk_values[0])
+    assert np.all(zeros == 0j)
+
+
+@pytest.mark.parametrize("o_lam, o_beta", [(0.5, 0.5), (-0.3, 0.9), (0.9, 0.1)])
+def test_major_box_h_j_converges_in_one_batch(o_lam, o_beta, monkeypatch):
+    # a major-box point of the circle method (j = 11, C^2, tol 1e-12): its
+    # equal panels, more of them at a tighter tol, meet tol in the first
+    # batch, where 16 of them needed 2 or 3
+    batches = []
+    levin_batch = osc._levin_batch
+
+    def counted(*args):
+        batches.append(args)
+        return levin_batch(*args)
+
+    monkeypatch.setattr(osc, "_levin_batch", counted)
+    j, eps = 11, 0.1
+    H_j(o_lam * 2.0 ** ((eps - 2) * j), o_beta * 2.0 ** ((eps - 1) * j), j, 2,
+        BumpFamily(d=2, smoothness_order=2), tol=1e-12)
+    assert len(batches) == 1
+
+
+def test_equal_panel_count():
+    # 16 down to tol 1e-8, then growing like tol^(-1/10); defined at tol <= 0
+    assert [osc._equal_panels(t) for t in (1e-4, 1e-8, 1e-10, 1e-12)] == [
+        16, 16, 26, 41]
+    assert osc._equal_panels(0.0) == osc._equal_panels(-1.0) == \
+        osc._equal_panels(1e-16) == 101
 
 
 class TestBudgetEstimates:

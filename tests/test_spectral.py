@@ -612,6 +612,19 @@ class TestRVariation:
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
 
+    def test_stack_gives_each_row(self):
+        # a (rows, n) stack returns one value per row, as each row alone
+        rng = np.random.Generator(np.random.Philox(16))
+        stack = rng.standard_normal((40, 7)) + 1j * rng.standard_normal((40, 7))
+        for r in (1.0, 2.0, 3.0, math.inf):
+            got = r_variation(stack, r)
+            assert got.shape == (40,)
+            assert got == pytest.approx(
+                [r_variation(row, r) for row in stack], rel=1e-15, abs=0.0)
+            assert got == pytest.approx(r_variation_bruteforce(stack, r),
+                                        abs=1e-12)
+        assert isinstance(r_variation(stack[0], 2.0), float)
+
     def test_length_twelve_dp_equals_enumeration(self):
         rng = np.random.Generator(np.random.Philox(15))
         seq = rng.standard_normal(12) + 1j * rng.standard_normal(12)

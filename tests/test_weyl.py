@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modhilb import weyl
 from modhilb.farey import ReducedFraction
 from modhilb.weyl import (WeylTriple, _complete_sum_row, complete_weyl_sum,
                           hua_exponent_fit, weyl_kernel_identity,
@@ -67,6 +69,35 @@ class TestCompleteWeylSum:
             for b in range(q):
                 assert row[b] == pytest.approx(naive_complete_sum(3 % q, b, q, 2),
                                                abs=1e-12)
+
+
+class TestRowCache:
+    def test_cached_rows_are_read_only_fresh_builds(self):
+        for a, q, d in ((3, 17, 2), (5, 127, 3), (0, 1, 2), (7, 60, 4)):
+            cold = _complete_sum_row(a, q, d)
+            warm = _complete_sum_row(a, q, d)
+            assert warm is cold
+            assert not warm.flags.writeable
+            with pytest.raises(ValueError):
+                warm[0] = 0.0
+            assert np.array_equal(warm, weyl._fresh_row(a, q, d))
+
+    def test_powers_are_exact_in_int64(self):
+        # r^d mod q by repeated int64 multiplies equals Python's pow
+        for d in (2, 3, 4, 5, 7):
+            for q in (1, 2, 97, 200, 3 * 10 ** 4):
+                a = 1 + q // 3
+                expect = np.fft.fft(np.exp(-2j * np.pi * np.array(
+                    [a * pow(r, d, q) % q for r in range(q)]) / q)) / q
+                assert np.array_equal(weyl._fresh_row(a % q, q, d), expect)
+
+    def test_cache_holds_at_most_its_byte_bound(self):
+        for q in range(100, 400):
+            _complete_sum_row(1, q, 2)
+        held = sum(row.nbytes for row in weyl._ROWS.values())
+        assert held == weyl._row_bytes <= weyl._ROW_CACHE_BYTES
+        # the most recently built rows stay
+        assert (1, 399, 2) in weyl._ROWS
 
 
 class TestOrthogonalityScan:
