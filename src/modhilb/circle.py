@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -89,21 +88,29 @@ class ApproxParams:
         return range(1, s_max + 1)
 
 
-def _torus_offset(x: float, num: int, den: int) -> Fraction:
-    """Signed torus difference x - num/den reduced to [-1/2, 1/2], exact."""
-    delta = Fraction(x) - Fraction(num, den)
-    return delta - round(delta)
+def _torus_offset(x: float, num: int, den: int) -> tuple[int, int]:
+    """Signed torus difference x - num/den reduced to [-1/2, 1/2], exact,
+    as an integer pair: with x = n/d, (n den - num d) / (d den) less its
+    nearest integer, a tie going to the even one (as round() does)."""
+    n, d = float(x).as_integer_ratio()
+    top, bottom = n * den - num * d, d * den
+    k, rem = divmod(top, bottom)
+    if 2 * rem > bottom or (2 * rem == bottom and k % 2):
+        rem -= bottom
+    return rem, bottom
 
 
 def _exact_offset(x: float, num: int, den: int) -> float:
     """Signed torus difference x - num/den, exact before the final rounding.
 
     The plain double subtraction loses ~1e-16 absolutely, which the
-    t^d phase then amplifies by 2^(dj); going through rationals keeps
-    the comparison between a multiplier value at x and an approximant
+    t^d phase then amplifies by 2^(dj); dividing the exact integer pair
+    of _torus_offset, which Python rounds correctly, keeps the
+    comparison between a multiplier value at x and an approximant
     centered at num/den consistent to relative precision.
     """
-    return float(_torus_offset(x, num, den))
+    top, bottom = _torus_offset(x, num, den)
+    return top / bottom
 
 
 def _contributing_centers(lam: float, beta: float, s: int,
@@ -148,10 +155,11 @@ def _all_centers(s: int) -> list[tuple[int, int, int]]:
 def _ljs_term(lam: float, beta: float, j: int, s: int, A: int, B: int, Q: int,
               p: ApproxParams, tol: float) -> complex:
     # the Xi_j window is X_j's comparison: exact offset against its width
-    dl = _torus_offset(lam, A, Q)
-    if abs(dl) > p.xset(j).width:
+    top, bottom = _torus_offset(lam, A, Q)
+    w_num, w_den = p.xset(j).width.as_integer_ratio()
+    if abs(top) * w_den > w_num * bottom:
         return 0j
-    dl = float(dl)
+    dl = top / bottom
     db = _exact_offset(beta, B, Q)
     cl = p.chi_s(dl, s)
     cb = p.chi_s(db, s)

@@ -17,9 +17,13 @@ supp psi, whose cost does not grow with the frequency and which falls
 back to Clenshaw-Curtis on panels of less than one turn.  Its panels
 start graded toward each stationary point of the phase, from a width of
 half a cycle there, doubling outward, so bisection rarely has to find
-the stationary points one round at a time.  The adaptive
-Gauss-Kronrod quadrature of oscillatory_quadrature is the slow reference
-that core is tested against; no production path calls it.
+the stationary points one round at a time.
+
+oscillatory_quadrature is the one slow reference that core is tested
+against: composite 20-point Gauss-Legendre on equal panels, about one per
+cycle of the exact phase variation, with no tolerance or budget to tune.
+No production path calls it.  It lives here rather than among the tests
+because the benchmark's tracer wraps it by name on this module.
 """
 
 from __future__ import annotations
@@ -136,62 +140,7 @@ def psi_j(t, j: int, fam: BumpFamily = DEFAULT_BUMPS):
 
 
 # ---------------------------------------------------------------------------
-# adaptive oscillatory quadrature
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre; the Gauss nodes
-# sit at the odd indices, so one evaluation pass feeds both rules.
-_XGK_HALF = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0])
-_WGK_HALF = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728])
-_WG_HALF = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469])
-_XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
-_WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_WG = np.zeros(15)
-_WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
-
-
-def _panel_batch(phase, amplitude, lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod integrals of e(phase) amplitude and error estimates over
-    each [lo_i, hi_i], as (1, panels) arrays.
-
-    One vectorized evaluation at the 15 Kronrod nodes yields the K15
-    result, the embedded G7 result, and a scaled error estimate in the
-    style of classic automatic integrators: the raw |K15 - G7| gap is
-    damped through the panel's total variation proxy, so nearly-exact
-    panels are not refined just because the gap sits above round-off.
-    """
-    n = len(lo)
-    res_k = np.empty((1, n), dtype=complex)
-    err = np.empty((1, n))
-    # chunked so the (panels x 15) node matrices stay cache-sized
-    step = 1 << 12
-    for start in range(0, n, step):
-        sl = slice(start, min(start + step, n))
-        mid = 0.5 * (lo[sl] + hi[sl])
-        half = 0.5 * (hi[sl] - lo[sl])
-        t = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-        vals = _oscillating_factor(phase, t)
-        vals *= np.asarray(amplitude(t))
-        vals = vals.reshape(len(mid), len(_XGK))
-        rk = (vals @ _WGK) * half
-        rg = (vals @ _WG) * half
-        mean = rk / np.where(half == 0.0, 1.0, 2.0 * half)
-        resasc = (np.abs(vals - mean[..., None]) @ _WGK) * half
-        raw = np.abs(rk - rg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
-        res_k[0, sl] = rk
-        err[0, sl] = np.where(resasc > 0.0, scaled, raw)
-    return res_k, err
-
+# adaptive Levin quadrature for polynomial phases
 
 def _oriented_sum(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The integral over the union of the panels, from their (rows,
@@ -202,18 +151,18 @@ def _oriented_sum(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> np.ndarra
     return vals[:, ~back].sum(axis=1) - vals[:, back].sum(axis=1)
 
 
-def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
-                         vals: np.ndarray, err: np.ndarray, tol: float,
+def _bisect_to_tolerance(phase: _PolynomialPhase, amplitude, lo_e: np.ndarray,
+                         hi_e: np.ndarray, tol: float,
                          panel_budget: int) -> np.ndarray:
-    """Bisect failing panels until the summed error estimates meet tol.
+    """Levin integrals over the panels [lo_i, hi_i], bisecting failing
+    panels until the summed error estimates meet tol.
 
-    batch(lo, hi) returns the (rows, panels) oriented integrals and
-    error estimates over [lo_i, hi_i], where a panel may run backward
-    (lo_i > hi_i); vals and err hold them for the panels already laid
-    out, which count against panel_budget.  Returns one integral per row
-    over the union of the panels (_oriented_sum).  On exhaustion
+    A panel may run backward (lo_i > hi_i); the panels laid out count
+    against panel_budget.  Returns one integral per row of the amplitude
+    stack over the union of the panels (_oriented_sum).  On exhaustion
     raises QuadratureError whose estimate is that integral so far.
     """
+    vals, err = _levin_batch(phase, amplitude, lo_e, hi_e)
     created = len(lo_e)
     while err.sum(axis=1).max() > tol:
         thresh = tol / (2.0 * len(lo_e))
@@ -232,7 +181,7 @@ def _bisect_to_tolerance(batch, lo_e: np.ndarray, hi_e: np.ndarray,
                 "reaching tolerance", _oriented_sum(lo_e, hi_e, vals))
         new_lo = np.concatenate([ba, mid])
         new_hi = np.concatenate([mid, bb])
-        new_vals, new_err = batch(new_lo, new_hi)
+        new_vals, new_err = _levin_batch(phase, amplitude, new_lo, new_hi)
         keep = ~bad
         lo_e = np.concatenate([lo_e[keep], new_lo])
         hi_e = np.concatenate([hi_e[keep], new_hi])
@@ -250,66 +199,6 @@ def _oscillating_factor(phase, t):
     np.sin(ph, out=out.imag)
     return out
 
-
-def oscillatory_quadrature(phase: Callable, amplitude: Callable,
-                           support: Sequence[float], tol: float = 1e-10,
-                           panel_budget: int = 2 ** 18) -> complex:
-    """Evaluate int e(phase(t)) amplitude(t) dt over [a, b] adaptively.
-
-    support is (a, b), or a sorted breakpoint sequence (a, ..., b) whose
-    inner points, where the amplitude may lose smoothness, start as
-    panel edges.  Panels are first laid out so that no panel spans more
-    than a quarter of the local oscillation period (the period is
-    estimated from |phase'| by centered differences on a fine midpoint
-    grid), then refined by bisection wherever the embedded Gauss-Kronrod
-    7/15 error estimate indicates the absolute error budget is not yet
-    met.
-
-    Both callables must accept numpy arrays.  Raises QuadratureError,
-    carrying the achieved estimate, if the panel budget is exhausted.
-    No production path calls it: it is the slow reference that the Levin
-    core behind the symbol integrals below is tested against.
-    """
-    a, b = float(support[0]), float(support[-1])
-    if not b > a:
-        return 0j
-
-    span = b - a
-    # estimated |phase'| on a midpoint grid; fine enough for the smooth
-    # polynomial phases used here
-    m = 2048
-    cell = span / m
-    mids = a + (np.arange(m) + 0.5) * cell
-    h = span * 1e-7
-    dphi = np.abs(np.asarray(phase(mids + h)) - np.asarray(phase(mids - h))) / (2 * h)
-    cycles = np.concatenate([[0.0], np.cumsum(dphi * cell)])
-    total_cycles = cycles[-1]
-
-    n_osc = math.ceil(total_cycles * 4.0)
-    targets = np.linspace(0.0, total_cycles, min(n_osc, panel_budget) + 1)
-    osc_edges = np.interp(targets, cycles, np.concatenate([[a], mids + 0.5 * cell]))
-    base_edges = np.linspace(a, b, 17)
-    edges = np.unique(np.concatenate([osc_edges, base_edges, support]))
-
-    def batch(lo, hi):
-        return _panel_batch(phase, amplitude, lo, hi)
-
-    lo_e, hi_e = edges[:-1], edges[1:]
-    vals, err = batch(lo_e, hi_e)
-    if n_osc > panel_budget:
-        raise QuadratureError(
-            "initial quarter-period subdivision exceeds the panel budget",
-            complex(vals.sum()))
-    try:
-        res = _bisect_to_tolerance(batch, lo_e, hi_e, vals, err, tol,
-                                   panel_budget)
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), complex(exc.estimate[0])) from None
-    return complex(res[0])
-
-
-# ---------------------------------------------------------------------------
-# adaptive Levin quadrature for polynomial phases
 
 def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points cos(pi k / n), k = 0..n (n even), their differentiation
@@ -518,15 +407,41 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
         base = fam.psi(t)[None, :]
         return base if weights is None else base * weights(t)
 
-    def batch(lo, hi):
-        return _levin_batch(phase, amplitude, lo, hi)
-
-    vals, err = batch(lo, hi)
     try:
-        return factor * _bisect_to_tolerance(batch, lo, hi, vals, err, tol,
+        return factor * _bisect_to_tolerance(phase, amplitude, lo, hi, tol,
                                              panel_budget)
     except QuadratureError as exc:
         raise QuadratureError(str(exc), factor * exc.estimate) from None
+
+
+# ---------------------------------------------------------------------------
+# the slow reference
+
+def oscillatory_quadrature(phase: _PolynomialPhase, amplitude: Callable,
+                           support: Sequence[float]) -> complex:
+    """int e(phase(t)) amplitude(t) dt over [a, b] by composite 20-point
+    Gauss-Legendre.
+
+    support is (a, c_1, ..., b), sorted, with the amplitude smooth between
+    consecutive points.  Each piece [u, v] is cut into
+    ceil(phase.variation(u, v)) + 4 equal panels, about one per cycle of
+    the phase, where 20 nodes resolve e(phase) far below 1e-13.  The
+    amplitude must accept numpy arrays.  It has no tolerance and no
+    adaptivity, and no production path calls it: it is the slow
+    reference that the Levin core behind the symbol integrals is tested
+    against.
+    """
+    # built per call: numpy.polynomial is imported only when the reference runs
+    x, w = np.polynomial.legendre.leggauss(20)
+    total = 0j
+    for u, v in zip(support[:-1], support[1:]):
+        n = math.ceil(phase.variation(u, v)) + 4
+        edges = np.linspace(u, v, n + 1)
+        half = 0.5 * (v - u) / n
+        t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x
+        vals = _oscillating_factor(phase, t) * amplitude(t)
+        total += half * (vals @ w).sum()
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------

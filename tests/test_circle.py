@@ -61,6 +61,20 @@ class TestExactOffset:
         lam = 0.5 + 2.0 ** -40
         assert _exact_offset(lam, 1, 2) == 2.0 ** -40
 
+    @given(st.one_of(EXACT_EDGE_FLOATS, st.floats(-1e6, 1e6)),
+           st.integers(-70, 70), st.integers(1, 64))
+    @example(0.5, 0, 1)        # a tie at +1/2: rounds to the even 0
+    @example(1.5, 0, 1)        # a tie at 3/2: rounds to the even 2
+    @example(-0.5, 0, 1)
+    @example(5e-324, 3, 3)     # a subnormal offset
+    @example(-5e-324, 0, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_formula(self, x, num, den):
+        delta = Fraction(x) - Fraction(num, den)
+        offset = delta - round(delta)
+        assert Fraction(*circle._torus_offset(x, num, den)) == offset
+        assert _exact_offset(x, num, den) == float(offset)
+
 
 def _within(x, num, den, radius):
     """|x - num/den| on the torus <= radius, compared exactly."""

@@ -8,13 +8,16 @@ import pytest
 
 from modhilb import osc
 from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
-                         PhaseContext, QuadratureError, critical_point,
-                         oscillatory_quadrature, psi_j, square_function_S_G,
-                         stationary_phase_split)
+                         PhaseContext, QuadratureError, _PolynomialPhase,
+                         critical_point, oscillatory_quadrature, psi_j,
+                         square_function_S_G, stationary_phase_split)
 from modhilb.spectral import Signal
 
 
 GRID = np.linspace(-20.0, 20.0, 1001)
+# the zero phase, and the phase t of e(t)
+ZERO = _PolynomialPhase(0.0, 0.0, 2)
+LINEAR = _PolynomialPhase(0.0, -1.0, 2)
 
 
 class TestBumpFamily:
@@ -110,9 +113,9 @@ class TestPsiJ:
                 2.0 ** -j * DEFAULT_BUMPS.psi(1.0))
 
     def test_integral_vanishes(self):
-        val = oscillatory_quadrature(lambda t: np.zeros_like(np.asarray(t, float)),
-                                     lambda t: psi_j(t, 3),
-                                     (-16.0, 16.0), tol=1e-10)
+        # psi_j(., 3) has its joints at +-4, +-8 and +-16
+        val = oscillatory_quadrature(ZERO, lambda t: psi_j(t, 3),
+                                     (-16.0, -8.0, -4.0, 4.0, 8.0, 16.0))
         assert abs(val) < 1e-10
 
     def test_support(self):
@@ -122,19 +125,19 @@ class TestPsiJ:
         assert psi_j(float(t[1]), j) == 0.0
 
 
+# supp psi with psi's joints, where it is smooth between the points
+PSI_SUPPORT = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
 class TestOscillatoryQuadrature:
     def test_odd_amplitude_zero_phase(self):
-        val = oscillatory_quadrature(
-            lambda t: np.zeros_like(np.asarray(t, float)),
-            lambda t: np.asarray(DEFAULT_BUMPS.psi(t)), (-2.0, 2.0), 1e-10)
+        val = oscillatory_quadrature(ZERO, DEFAULT_BUMPS.psi, PSI_SUPPORT)
         assert abs(val) < 1e-10
 
     def test_abs_psi_matches_riemann_oracle(self):
         # 10^6-point midpoint Riemann oracle; the value is 2 log 2
         val = oscillatory_quadrature(
-            lambda t: np.zeros_like(np.asarray(t, float)),
-            lambda t: np.abs(np.asarray(DEFAULT_BUMPS.psi(t))), (-2.0, 2.0),
-            1e-10)
+            ZERO, lambda t: np.abs(DEFAULT_BUMPS.psi(t)), PSI_SUPPORT)
         assert val.real == pytest.approx(1.3862943611198904, abs=1e-9)
         assert abs(val.imag) < 1e-12
 
@@ -145,41 +148,30 @@ class TestOscillatoryQuadrature:
         n = 2 ** 20
         t = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
         oracle = np.sum(np.exp(2j * np.pi * t) * fam.eta(t)) * (4.0 / n)
-        val = oscillatory_quadrature(lambda t: np.asarray(t, float),
-                                     lambda t: np.asarray(fam.eta(t)),
-                                     (-2.0, 2.0), 1e-10)
+        # eta's joints at +-1
+        val = oscillatory_quadrature(LINEAR, fam.eta, (-2.0, -1.0, 1.0, 2.0))
         assert val == pytest.approx(oracle, abs=1e-8)
 
-    def test_budget_exhaustion_carries_estimate(self):
-        with pytest.raises(QuadratureError) as exc:
-            oscillatory_quadrature(lambda t: 1e7 * np.asarray(t, float) ** 2,
-                                   lambda t: np.asarray(DEFAULT_BUMPS.eta(t)),
-                                   (-2.0, 2.0), 1e-14, panel_budget=64)
-        assert isinstance(exc.value.estimate, complex)
+    @pytest.mark.parametrize("Y", [1000.3, -1000.3, 37.7])
+    def test_linear_phase_closed_form_at_many_cycles(self, Y):
+        # int_{1/2}^2 e(Y t) dt = (e(2Y) - e(Y/2)) / (2 pi i Y), over
+        # 1500 cycles at |Y| = 1000.3
+        def e(x):
+            return np.exp(2j * np.pi * x)
+
+        exact = (e(2.0 * Y) - e(0.5 * Y)) / (2j * np.pi * Y)
+        val = oscillatory_quadrature(_PolynomialPhase(0.0, -Y, 2), np.ones_like,
+                                     (0.5, 2.0))
+        assert abs(val - exact) <= 1e-13
 
     def test_empty_interval(self):
-        assert oscillatory_quadrature(lambda t: t, lambda t: t, (1.0, 1.0),
-                                      1e-10) == 0j
+        assert oscillatory_quadrature(LINEAR, lambda t: t, (1.0, 1.0)) == 0j
 
     def test_breakpoints_start_as_panel_edges(self):
         # the C^2 psi is a different polynomial over t on either side of
         # its joint at 1; int psi over [1/2, 2] is log 2 (Frullani)
         fam = BumpFamily(d=2, smoothness_order=2)
-        nodes = []
-
-        def amp(t):
-            nodes.append(np.size(t))
-            return fam.psi(t)
-
-        def phase(t):
-            return np.zeros_like(t)
-
-        whole = oscillatory_quadrature(phase, amp, (0.5, 2.0), 1e-12)
-        n_whole = sum(nodes)
-        nodes.clear()
-        cut = oscillatory_quadrature(phase, amp, (0.5, 1.0, 2.0), 1e-12)
-        assert sum(nodes) < n_whole
-        assert abs(whole - math.log(2.0)) <= 1e-12
+        cut = oscillatory_quadrature(ZERO, fam.psi, (0.5, 1.0, 2.0))
         assert abs(cut - math.log(2.0)) <= 1e-14
 
 
@@ -372,22 +364,20 @@ class TestSquareFunction:
         assert np.allclose(np.abs(out.values), expected, atol=1e-8)
 
 
-def _psi_oracle(phase, tol, fam=DEFAULT_BUMPS, weight=None):
-    """int e(phase) psi weight over supp psi by the Gauss-Kronrod reference."""
+def _psi_oracle(phase, fam=DEFAULT_BUMPS, weight=None, breakpoints=()):
+    """int e(phase) psi weight over supp psi by the reference quadrature,
+    with psi's joints and the weight's breakpoints as piece edges."""
     def amp(t):
-        base = np.asarray(fam.psi(t))
+        base = fam.psi(t)
         return base if weight is None else base * weight(t)
 
-    return sum(oscillatory_quadrature(phase, amp, ab, tol / 2)
-               for ab in ((-2.0, -0.5), (0.5, 2.0)))
+    cuts = [-1.0, 1.0, *breakpoints]
+    return sum(oscillatory_quadrature(
+        phase, amp, sorted({a, b, *(c for c in cuts if a < c < b)}))
+        for a, b in ((-2.0, -0.5), (0.5, 2.0)))
 
 
-def _g_phase(ctx, xi):
-    X, Y = ctx.lam2kd, math.ldexp(xi, ctx.k)
-    return lambda t: -(X * np.asarray(t) ** ctx.d + Y * np.asarray(t))
-
-
-class TestLevinAgainstGaussKronrod:
+class TestLevinAgainstOracle:
     """The symbol integrals against oscillatory_quadrature."""
 
     TOL = 1e-10
@@ -395,17 +385,19 @@ class TestLevinAgainstGaussKronrod:
     def _check_symbol(self, xi, ctx):
         fam = BumpFamily(d=ctx.d)
         zf = fam.zeta(math.ldexp(xi, ctx.k - ctx.l))
-        phase = _g_phase(ctx, xi)
+        phase = _PolynomialPhase(ctx.lam2kd, math.ldexp(xi, ctx.k), ctx.d)
         direct = G_hat_direct(xi, ctx, fam, self.TOL)
-        assert abs(direct - zf * _psi_oracle(phase, self.TOL, fam)) < self.TOL
+        assert abs(direct - zf * _psi_oracle(phase, fam)) < self.TOL
         split = stationary_phase_split(xi, ctx, fam, self.TOL)
         roots = critical_point(xi, ctx)
-        windows = [lambda t, r=r: np.asarray(fam.xi0(np.asarray(t) - r))
-                   for r in roots]
+        windows = [lambda t, r=r: fam.xi0(t - r) for r in roots]
         weights = [lambda t: 1.0 - sum(w(t) for w in windows)] + windows
+        # xi0(s) = eta(8 d s) has its joints at |s| = 1/(8d), 2/(8d)
+        joints = [r + u / (8.0 * ctx.d) for r in roots
+                  for u in (-2.0, -1.0, 1.0, 2.0)]
         assert all(p in (0j, None) for p in split[len(weights):])
         for part, weight in zip(split, weights):
-            expect = zf * _psi_oracle(phase, self.TOL, fam, weight)
+            expect = zf * _psi_oracle(phase, fam, weight, joints)
             assert abs(part - expect) < self.TOL
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -453,8 +445,7 @@ class TestLevinAgainstGaussKronrod:
         j = 10
         val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d,
                   tol=self.TOL)
-        expect = _psi_oracle(lambda t: -(X * np.asarray(t) ** d
-                                         + Y * np.asarray(t)), self.TOL)
+        expect = _psi_oracle(_PolynomialPhase(X, Y, d))
         assert abs(val - expect) < self.TOL
 
     def test_budget_exhaustion_carries_estimate(self):
@@ -465,21 +456,6 @@ class TestLevinAgainstGaussKronrod:
                          panel_budget=6)
         est = np.asarray(exc.value.estimate)
         assert est.shape == (1,) and np.all(np.isfinite(est))
-
-
-def _gauss_legendre_psi(X, Y, d, fam, panels=64, nodes=20):
-    """int e(-(X t^d + Y t)) psi(t) dt by composite Gauss-Legendre on the
-    pieces of supp psi between +-1/2, +-1 and +-2, where psi is smooth."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    total = 0j
-    for a, b in ((-2.0, -1.0), (-1.0, -0.5), (0.5, 1.0), (1.0, 2.0)):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        t = mid + half * x
-        vals = np.exp(-2j * np.pi * (X * t ** d + Y * t)) * fam.psi(t)
-        total += half * (vals @ w).sum()
-    return total
 
 
 class TestBelowCrossover:
@@ -494,7 +470,7 @@ class TestBelowCrossover:
         j, tol = 10, 1e-12
         fam = BumpFamily(d=d, smoothness_order=order)
         val = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d, fam, tol)
-        assert abs(val - _gauss_legendre_psi(X, Y, d, fam)) <= tol
+        assert abs(val - _psi_oracle(_PolynomialPhase(X, Y, d), fam)) <= tol
 
     @pytest.mark.parametrize("d, j, x", [(2, 8, 1e-5), (2, 8, -2e-4),
                                          (2, 8, 5e-4), (2, 12, 3e-7),
@@ -508,12 +484,12 @@ class TestBelowCrossover:
 
 
 @pytest.mark.parametrize("l", [4, 10], ids=["few-cycles", "many-cycles"])
-def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
-    # one production core: the Gauss-Kronrod panels are only the reference
+def test_symbol_integrals_never_reach_the_oracle(l, monkeypatch):
+    # one production core: the Gauss-Legendre quadrature is only the reference
     def refuse(*args):
-        raise AssertionError("a symbol integral reached Gauss-Kronrod")
+        raise AssertionError("a symbol integral reached the reference quadrature")
 
-    monkeypatch.setattr(osc, "_panel_batch", refuse)
+    monkeypatch.setattr(osc, "oscillatory_quadrature", refuse)
     d, k, j = 2, 12, 6
     ctx = PhaseContext(d, k, l, 1.4 * math.ldexp(1.0, l - d * k))
     xi = -1.3 * math.ldexp(1.0, l - k)
@@ -562,7 +538,7 @@ def test_levin_chunks_change_no_value(monkeypatch):
 
     default = values()
     monkeypatch.setattr(osc, "_LEVIN_CHUNK", 16)
-    assert np.abs(values() - default).max() <= 1e-15
+    assert np.array_equal(values(), default)
 
 
 def _random_h_j_values():
