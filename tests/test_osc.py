@@ -377,8 +377,10 @@ def _psi_oracle(phase, fam=DEFAULT_BUMPS, weight=None, breakpoints=()):
         for a, b in ((-2.0, -0.5), (0.5, 2.0)))
 
 
-class TestLevinAgainstOracle:
-    """The symbol integrals against oscillatory_quadrature."""
+class TestLevinAgainstGaussKronrod:
+    """The symbol integrals against oscillatory_quadrature, the one
+    reference (the class keeps the name of the Gauss-Kronrod rule that the
+    composite Gauss-Legendre one replaced, so its tests keep their ids)."""
 
     TOL = 1e-10
 
@@ -484,8 +486,9 @@ class TestBelowCrossover:
 
 
 @pytest.mark.parametrize("l", [4, 10], ids=["few-cycles", "many-cycles"])
-def test_symbol_integrals_never_reach_the_oracle(l, monkeypatch):
-    # one production core: the Gauss-Legendre quadrature is only the reference
+def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
+    # one production core: the reference quadrature (Gauss-Kronrod once,
+    # composite Gauss-Legendre now; the test keeps its id) is never called
     def refuse(*args):
         raise AssertionError("a symbol integral reached the reference quadrature")
 
