@@ -1,4 +1,4 @@
-"""Circle-method approximants and error-decay harnesses.
+"""Circle-method approximants and the sups that measure them.
 
 The approximant L_{j,s} glues a complete Gauss sum to the continuous
 block H_j near each rational center with denominator in [2^(s-1), 2^s),
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -212,12 +211,8 @@ def error_Ej(lam: float, beta: float, j: int, p: ApproxParams,
     return mj - L_j(lam, beta, j, p, tol)
 
 
-# ---------------------------------------------------------------------------
-# harnesses
-
 def major_box_error_scan(j: int, p: ApproxParams, Q_max: int,
-                         samples_per_box: int, seed: int = 0,
-                         tol: float = 1e-10) -> dict:
+                         samples_per_box: int, seed: int, tol: float) -> dict:
     """sup over sampled major-box points of |M_j - S H_j(offsets)|.
 
     Visits every box with common denominator Q <= Q_max (coprime triples
@@ -253,63 +248,6 @@ def major_box_error_scan(j: int, p: ApproxParams, Q_max: int,
                     sup = max(sup, err)
     return {"j": j, "Q_max": Q_max, "boxes": boxes,
             "samples_per_box": samples_per_box, "sup_error": sup}
-
-
-def major_box_error_sweep(j_range: Sequence[int], p: ApproxParams, Q_max: int,
-                          samples_per_box: int, seed: int = 0,
-                          tol: float = 1e-12) -> dict:
-    """Run the scan across a j-range and fit the per-step decay."""
-    sups = []
-    for j in j_range:
-        sups.append(major_box_error_scan(j, p, Q_max, samples_per_box,
-                                         seed, tol)["sup_error"])
-    sups_a = np.array(sups)
-    steps = np.diff(np.log2(sups_a))
-    slope = float(np.polyfit(np.asarray(j_range, dtype=float),
-                             np.log2(sups_a), 1)[0])
-    return {"j_range": list(j_range), "sup_errors": sups,
-            "mean_log2_step": float(steps.mean()), "fitted_exponent": slope}
-
-
-def ej_decay_scan(j_range: Sequence[int], p: ApproxParams, samples: int,
-                  seed: int = 0, tol: float = 1e-8) -> dict:
-    """sup |E_j| over sampled lambda in X_j per j, with a decay fit.
-
-    Sampling favors low denominators (where the approximant carries real
-    weight) and pairs each lambda with a beta drawn either near the
-    matching rational or uniformly.  Asserting monotone decrease happens
-    on a 3-point moving average; the fitted power in j is reported
-    against the predicted -1/(2 kappa).
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    sups = []
-    for j in j_range:
-        xs = p.xset(j)
-        sup = 0.0
-        for i in range(samples):
-            if i % 2 == 0:
-                q = int(rng.integers(1, 5))
-            else:
-                q = int(rng.integers(1, xs.q_bound + 1))
-            a = int(rng.integers(0, q))
-            off = rng.uniform(-1.0, 1.0) * xs.width
-            lam = (a / q + off) % 1.0
-            if i % 3 == 0:
-                beta = rng.uniform(0.0, 1.0)
-            else:
-                b = int(rng.integers(0, q))
-                beta = (b / q + rng.uniform(-1.0, 1.0) * 2.0 ** (-j / 2)) % 1.0
-            sup = max(sup, abs(error_Ej(lam, beta, j, p, tol)))
-        sups.append(sup)
-    sups_a = np.array(sups)
-    smooth = np.convolve(sups_a, np.ones(3) / 3.0, mode="valid")
-    monotone = bool(np.all(np.diff(smooth) < 0))
-    js = np.asarray(j_range, dtype=float)
-    fitted_power = float(np.polyfit(np.log(js), np.log(sups_a), 1)[0])
-    return {"j_range": list(j_range), "sup_errors": sups,
-            "smoothed": smooth.tolist(), "monotone_decreasing": monotone,
-            "fitted_power": fitted_power,
-            "predicted_power": -1.0 / (2.0 * p.kappa)}
 
 
 def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,

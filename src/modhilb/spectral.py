@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .farey import ReducedFraction, dirichlet_approx
+from .farey import ReducedFraction
 from .osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from .weyl import _complete_sum_row
 
@@ -412,43 +412,6 @@ def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
     r1 = _complete_sum_row(a, q, d)[c * (q // Q)]
     r2 = _complete_sum_row(ap, qp, d)[c * (qp // Q)]
     return complex((r1 * np.conj(r2) * np.exp(2j * np.pi * c * w / Q)).sum())
-
-
-def ttstar_ratio_scan(s_values: Sequence[int], d: int, n_pairs: int = 40,
-                      seed: int = 0) -> dict:
-    """Max of the TT* kernel relative to its window, per scale s.
-
-    The kernel is the window autocorrelation times the arithmetic factor
-    of ttstar_frequency_factor, so the ratio is the factor's modulus.  The
-    scan maximizes it over sampled pairs of distinct reduced fractions
-    with denominators in [2^(s-1), 2^s) and over offsets mod gcd(q, q').
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    maxima = {}
-    for s in s_values:
-        q_lo, q_hi = 2 ** (s - 1), 2 ** s
-
-        def draw():
-            # a linearizer value: uniform modulation parameter, reduced
-            # through its best rational with denominator in [2^(s-1), 2^s)
-            while True:
-                rf = dirichlet_approx(float(rng.random()), q_hi - 1)
-                if q_lo <= rf.denominator < q_hi:
-                    return rf
-
-        best = 0.0
-        for _ in range(n_pairs):
-            # distinct fractions: a coinciding pair sits on the diagonal
-            # of the TT* composition, where the ratio is identically 1
-            while True:
-                aq, apqp = draw(), draw()
-                if aq != apqp:
-                    break
-            Q = math.gcd(aq.denominator, apqp.denominator)
-            w = int(rng.integers(0, 2 ** (2 * s))) % Q
-            best = max(best, abs(ttstar_frequency_factor(aq, apqp, w, d)))
-        maxima[int(s)] = best
-    return {"d": d, "n_pairs": n_pairs, "seed": seed, "max_ratio": maxima}
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The normalized complete sum
 
     S(a/q, b/q) = (1/q) * sum_{r=1..q} e(-(a/q) r^d - (b/q) r),
 
-its orthogonality and kernel identities, and the fit of its
-square-root cancellation in q (Hua's bound).
+its kernel identity, and the largest admissible |S| at one (a, q), from
+which bench's orthogonality scan and Hua-bound fit are built.
 
 One routine computes complete sums: the row S(a/q, b/q), b = 0..q-1.
 The residues a r^d mod q are reduced in exact integer arithmetic before
@@ -105,25 +105,6 @@ def _admissible_max(a: int, q: int, d: int) -> tuple[float, int]:
     return float(row[admissible].max()), int(admissible.sum())
 
 
-def weyl_orthogonality_scan(q_max: int, d: int) -> dict:
-    """Scan all (a, b, q) with q <= q_max, gcd(a,b,q)=1, gcd(a,q)>1.
-
-    Every such sum vanishes identically; the report carries the maximum
-    |S| observed (floating-point noise only) and the number of cases.
-    """
-    if q_max < 1:
-        raise ValueError("q_max must be positive")
-    max_abs = 0.0
-    count = 0
-    for q in range(2, q_max + 1):
-        for a in range(q):
-            if math.gcd(a, q) > 1:
-                peak, cases = _admissible_max(a, q, d)
-                max_abs = max(max_abs, peak)
-                count += cases
-    return {"q_max": q_max, "d": d, "max_abs": max_abs, "count": count}
-
-
 def weyl_kernel_identity(a_over_q: ReducedFraction, d: int, x: int) -> tuple[complex, complex]:
     """Both sides of the kernel re-expression at a/q.
 
@@ -139,23 +120,3 @@ def weyl_kernel_identity(a_over_q: ReducedFraction, d: int, x: int) -> tuple[com
     rhs = complex(np.exp(-2j * np.pi * ((a * pow(r, d, q)) % q) / q))
     return lhs, rhs
 
-
-def hua_exponent_fit(q_max: int, d: int) -> tuple[float, float]:
-    """Least-squares slope of log per-q max |S| against log q.
-
-    Aggregates per-denominator maxima over all admissible (a, b) before
-    fitting; returns (fitted_exponent, max of |S| * q^(1/d)).
-    """
-    if q_max < 8:
-        raise ValueError("q_max must be >= 8")
-    qs, maxima = [], []
-    for q in range(2, q_max + 1):
-        best = max(_admissible_max(a, q, d)[0] for a in range(q))
-        if best > 0.0:
-            qs.append(q)
-            maxima.append(best)
-    qs_a = np.array(qs, dtype=float)
-    max_a = np.array(maxima)
-    slope, _ = np.polyfit(np.log(qs_a), np.log(max_a), 1)
-    max_constant = float((max_a * qs_a ** (1.0 / d)).max())
-    return float(slope), max_constant

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from modhilb import bench, circle, osc, spectral, weyl
+from modhilb import bench, spectral, weyl
 from modhilb.farey import ReducedFraction
 from modhilb.spectral import LambdaGrid, Signal
 
@@ -34,9 +34,10 @@ def timed(budget_seconds):
 def test_01_weyl_orthogonality_exhaustive():
     # every admissible sum with gcd(a, q) > 1 vanishes identically
     with timed(30):
-        for d in (2, 3):
-            rep = weyl.weyl_orthogonality_scan(60, d)
-            assert rep["max_abs"] < 1e-12, (d, rep["max_abs"])
+        rows, summary, passed = bench._exp_weyl_scan(q_max=60, d_list=(2, 3))
+        for row in rows:
+            assert row["max_abs"] < 1e-12, row
+        assert passed
 
 
 def test_02_gauss_sum_magnitude_primes():
@@ -69,28 +70,30 @@ def test_03_kernel_identity_exhaustive():
 
 def test_04_hua_exponent():
     with timed(120):
-        slope, _ = weyl.hua_exponent_fit(200, 2)
-        assert slope <= -0.4, slope
+        rows, summary, passed = bench._exp_hua_fit(q_max=200, d=2)
+        assert summary["fitted_exponent"] <= -0.4, summary
+        assert passed
 
 
 def test_05_major_box_approximation_decay():
     # C2 bumps keep the discretization error visible above the float
-    # floor; quadrature at 1e-12 keeps it above the quadrature floor
+    # floor; the experiment's quadrature at 1e-12 keeps it above the
+    # quadrature floor
     with timed(600):
-        fam = osc.BumpFamily(d=2, smoothness_order=2)
-        p = circle.ApproxParams(d=2, epsilon=0.1, fam=fam)
-        rep = circle.major_box_error_sweep(list(range(8, 15)), p, Q_max=3,
-                                           samples_per_box=6, seed=7,
-                                           tol=1e-12)
-        assert rep["mean_log2_step"] <= -0.5, rep
+        rows, summary, passed = bench._exp_major_arc_error(
+            seed=7, j_min=8, j_max=14, d=2, epsilon=0.1, Q_max=3,
+            samples_per_box=6, smoothness=2)
+        assert summary["mean_log2_step"] <= -0.5, (summary, rows)
+        assert passed
 
 
 def test_06_error_multiplier_decay():
+    # sup |E_j| decreases on its 3-point moving average
     with timed(600):
-        p = circle.ApproxParams(d=2)
-        rep = circle.ej_decay_scan(list(range(8, 15)), p, samples=40, seed=3)
-        smooth = np.asarray(rep["smoothed"])
-        assert np.all(np.diff(smooth) < 0), rep
+        rows, summary, passed = bench._exp_ej_decay(
+            seed=3, j_min=8, j_max=14, d=2, samples=40)
+        assert summary["monotone_decreasing"] is True, (summary, rows)
+        assert passed
 
 
 def test_07_oracle_equivalence():
@@ -143,9 +146,11 @@ def test_08_stationary_phase_split():
 
 def test_09_ttstar_ratio_decreasing():
     with timed(300):
-        rep = spectral.ttstar_ratio_scan([3, 4, 5], 2, n_pairs=40, seed=0)
-        vals = [rep["max_ratio"][s] for s in (3, 4, 5)]
+        rows, summary, passed = bench._exp_ttstar(
+            seed=0, s_list=(3, 4, 5), d=2, n_pairs=40)
+        vals = [summary["max_ratio"][s] for s in (3, 4, 5)]
         assert vals[0] > vals[1] > vals[2], vals
+        assert passed
 
 
 def test_10_outside_xj_decay():

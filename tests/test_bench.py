@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from modhilb import circle, farey, osc, spectral
 from modhilb.bench import (EXPERIMENTS, ExperimentConfig, RNG_ALGORITHM,
                            SCHEMA_VERSION, make_rng, run)
 from modhilb.cli import main
@@ -58,6 +59,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("hua-fit", {"q_max": 60.5}).validate()
 
+    @pytest.mark.parametrize("name, params", [
+        pytest.param("ej-decay", {"j_min": 8, "j_max": 10}, id="ej-decay-3j"),
+        pytest.param("ttstar", {"s_list": [4]}, id="ttstar-one-scale"),
+        pytest.param("ttstar", {"s_list": [4, 4]}, id="ttstar-repeated-scale"),
+        # s = 1 has no distinct pair of fractions to draw: it would never
+        # return
+        pytest.param("ttstar", {"s_list": [1]}, id="ttstar-s1"),
+        pytest.param("ttstar", {"s_list": [1, 2]}, id="ttstar-s1-s2"),
+        pytest.param("major-arc-error", {"j_min": 9, "j_max": 9},
+                     id="major-arc-error-1j"),
+        pytest.param("stationary-phase", {"l_min": 8, "l_max": 8},
+                     id="stationary-phase-1l"),
+        pytest.param("ergodic", {"J_list": [4]}, id="ergodic-1J"),
+    ])
+    def test_range_too_short_rejected(self, tmp_path, monkeypatch, name,
+                                      params):
+        # rejected before any computation: every operation the bodies
+        # would call first fails the test if reached
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed on a rejected range")
+
+        for module, attr in [(circle, "major_box_error_scan"),
+                             (circle, "error_Ej"),
+                             (farey, "dirichlet_approx"),
+                             (osc, "G_hat_direct"),
+                             (spectral, "oscillation_sum")]:
+            monkeypatch.setattr(module, attr, no_compute)
+        with pytest.raises(ValueError, match="need"):
+            run(ExperimentConfig(name, {"seed": 0, **params}, str(tmp_path)))
+        assert not any(tmp_path.iterdir())
+
 
 class TestReports:
     def run_small(self, tmp_path):
@@ -94,17 +126,27 @@ class TestReports:
         payload = json.loads((tmp_path / "hua-fit.summary.json").read_text())
         assert payload["params"] == {"q_max": 200, "d": 2}
 
-    def test_summary_reruns_as_config(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, params", [
         # the default r_list holds inf, which the summary writes as Infinity
+        pytest.param("variation", {"n_max": 4}, id="variation"),
+        pytest.param("weyl-scan", {"q_max": 12, "d_list": [2, 3]},
+                     id="weyl-scan"),
+        pytest.param("hua-fit", {"q_max": 30}, id="hua-fit"),
+        # seeded and list-valued, with d filled in from its default
+        pytest.param("ttstar", {"seed": 0, "s_list": [3, 4], "n_pairs": 8},
+                     id="ttstar"),
+    ])
+    def test_summary_reruns_as_config(self, tmp_path, monkeypatch, name,
+                                      params):
         first = tmp_path / "first"
-        run(ExperimentConfig("variation", {"n_max": 4}, str(first)))
+        run(ExperimentConfig(name, params, str(first)))
         rerun = tmp_path / "rerun"
         rerun.mkdir()
         monkeypatch.chdir(rerun)
         assert main(["run", "--config",
-                     str(first / "variation.summary.json")]) == 0
-        assert ((rerun / "variation.csv").read_bytes()
-                == (first / "variation.csv").read_bytes())
+                     str(first / f"{name}.summary.json")]) == 0
+        assert ((rerun / f"{name}.csv").read_bytes()
+                == (first / f"{name}.csv").read_bytes())
 
     def test_floats_full_precision(self, tmp_path):
         self.run_small(tmp_path)

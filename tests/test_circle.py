@@ -236,13 +236,13 @@ class TestErrorEj:
 
 class TestMajorBoxScan:
     def test_scan_reports_all_boxes(self):
-        rep = major_box_error_scan(8, P2, 1, 2, seed=0)
+        rep = major_box_error_scan(8, P2, 1, 2, seed=0, tol=1e-12)
         assert rep["boxes"] == 1
         assert rep["sup_error"] >= 0.0
 
     def test_qmax_clamped_to_admissible_bound(self):
         # at j=8, eps=0.1 only Q = 1 is admissible; larger requests clamp
-        rep = major_box_error_scan(8, P2, 3, 1, seed=0)
+        rep = major_box_error_scan(8, P2, 3, 1, seed=0, tol=1e-12)
         assert rep["Q_max"] == 1
 
 

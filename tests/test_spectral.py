@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modhilb.bench import _exp_ttstar
 from modhilb.farey import ReducedFraction
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _e_neg,
@@ -18,8 +19,7 @@ from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _e_neg,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
                               oscillation_sum, r_variation,
-                              r_variation_bruteforce, ttstar_frequency_factor,
-                              ttstar_ratio_scan)
+                              r_variation_bruteforce, ttstar_frequency_factor)
 from test_weyl import naive_complete_sum
 
 
@@ -573,9 +573,10 @@ class TestTTStarKs:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_ratio_scan_shape(self):
-        rep = ttstar_ratio_scan([2, 3], 2, n_pairs=8, seed=0)
-        assert set(rep["max_ratio"]) == {2, 3}
-        assert all(0.0 <= v <= 1.0 + 1e-9 for v in rep["max_ratio"].values())
+        _, summary, _ = _exp_ttstar(seed=0, s_list=(2, 3), d=2, n_pairs=8)
+        assert set(summary["max_ratio"]) == {2, 3}
+        assert all(0.0 <= v <= 1.0 + 1e-9
+                   for v in summary["max_ratio"].values())
 
 
 class TestRVariation:

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhilb import weyl
+from modhilb.bench import _exp_hua_fit, _exp_weyl_scan
 from modhilb.farey import ReducedFraction
 from modhilb.weyl import (WeylTriple, _complete_sum_row, complete_weyl_sum,
-                          hua_exponent_fit, weyl_kernel_identity,
-                          weyl_orthogonality_scan)
+                          weyl_kernel_identity)
 
 
 def naive_complete_sum(a, b, q, d):
@@ -102,18 +102,18 @@ class TestRowCache:
 
 class TestOrthogonalityScan:
     def test_small_scan(self):
-        rep = weyl_orthogonality_scan(4, 2)
-        assert rep["max_abs"] < 1e-12
-        assert rep["count"] > 0
+        [row], _, _ = _exp_weyl_scan(q_max=4, d_list=(2,))
+        assert row["max_abs"] < 1e-12
+        assert row["cases"] > 0
 
     def test_empty_scan(self):
-        rep = weyl_orthogonality_scan(1, 2)
-        assert rep["max_abs"] == 0.0
-        assert rep["count"] == 0
+        [row], _, _ = _exp_weyl_scan(q_max=1, d_list=(2,))
+        assert row["max_abs"] == 0.0
+        assert row["cases"] == 0
 
     def test_cubic_scan(self):
-        rep = weyl_orthogonality_scan(30, 3)
-        assert rep["max_abs"] < 1e-12
+        [row], _, _ = _exp_weyl_scan(q_max=30, d_list=(3,))
+        assert row["max_abs"] < 1e-12
 
 
 class TestKernelIdentity:
@@ -148,13 +148,13 @@ class TestHuaFit:
                 assert abs(val - p ** -0.5) < 1e-13
 
     def test_fit_small(self):
-        slope, const = hua_exponent_fit(40, 2)
-        assert slope <= -0.4
-        assert const < 10.0
+        [row], _, _ = _exp_hua_fit(q_max=40, d=2)
+        assert row["fitted_exponent"] <= -0.4
+        assert row["max_constant"] < 10.0
 
     def test_triangle_bound(self):
         assert abs(complete_weyl_sum(WeylTriple(1, 1, 2, 2))) <= 1.0 + 1e-15
 
     def test_q_max_too_small(self):
         with pytest.raises(ValueError):
-            hua_exponent_fit(4, 2)
+            _exp_hua_fit(q_max=4, d=2)
