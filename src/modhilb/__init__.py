@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- farey     reduced fractions, Farey neighbours, Dirichlet approximation,
-            the X_j sets
+- farey     Farey neighbours, Dirichlet approximation, the X_j sets; every
+            rational an integer pair (p, q) in lowest terms
 - weyl      complete Weyl/Gauss sums and their identities
 - osc       bump families, oscillatory quadrature, stationary phase,
             the square function

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, get_args, get_origin
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -102,8 +102,8 @@ class ExperimentReport:
     summary: dict
     passed: bool
 
-    def write(self, out_dir: Optional[str] = None) -> tuple[str, str]:
-        out_dir = out_dir or self.config.output_path
+    def write(self) -> None:
+        out_dir = self.config.output_path
         os.makedirs(out_dir, exist_ok=True)
         name = self.config.experiment
         csv_path = os.path.join(out_dir, f"{name}.csv")
@@ -125,17 +125,22 @@ class ExperimentReport:
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
             fh.write("\n")
-        return csv_path, json_path
 
 
-def _random_signal(rng: np.random.Generator, width: int, offset: int = 0,
+def _random_signal(rng: np.random.Generator, width: int,
                    mean_zero: bool = False, unit: bool = False) -> spectral.Signal:
     vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
     if mean_zero:
         vals = vals - vals.mean()
     if unit:
         vals = vals / np.linalg.norm(vals)
-    return spectral.Signal(offset, vals)
+    return spectral.Signal(0, vals)
+
+
+def _need(ok, what: str) -> None:
+    """Reject, before any computation, a config the experiment cannot judge."""
+    if not ok:
+        raise ValueError(f"need {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +148,7 @@ def _random_signal(rng: np.random.Generator, width: int, offset: int = 0,
 
 def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
     # every admissible sum with gcd(a, q) > 1 vanishes: |S| is round-off
-    if q_max < 1:
-        raise ValueError("q_max must be positive")
+    _need(q_max >= 2 and d_list, "q_max >= 2 and a d to scan")
     rows, worst = [], 0.0
     for d in d_list:
         max_abs, count = 0.0, 0
@@ -162,8 +166,7 @@ def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
 
 def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
     # slope of log max |S| against log q, max per q over admissible (a, b)
-    if q_max < 8:
-        raise ValueError("q_max must be >= 8")
+    _need(q_max >= 8, "q_max >= 8")
     qs, maxima = [], []
     for q in range(2, q_max + 1):
         best = max(weyl._admissible_max(a, q, d)[0] for a in range(q))
@@ -180,6 +183,7 @@ def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
 
 
 def _exp_kernel_identity(*, q_max: int = 40, d_list: tuple[int, ...] = (2,)):
+    _need(q_max >= 1 and d_list, "q_max >= 1 and a d to check")
     rows = []
     worst_diff = worst_mod = 0.0
     for d in d_list:
@@ -189,8 +193,7 @@ def _exp_kernel_identity(*, q_max: int = 40, d_list: tuple[int, ...] = (2,)):
                 if math.gcd(a, q) != 1:
                     continue
                 for x in range(q):
-                    lhs, rhs = weyl.weyl_kernel_identity(
-                        farey.ReducedFraction(a, q), d, x)
+                    lhs, rhs = weyl.weyl_kernel_identity(a, q, d, x)
                     max_diff = max(max_diff, abs(lhs - rhs))
                     max_mod = max(max_mod, abs(abs(rhs) - 1.0))
             rows.append({"d": d, "q": q, "max_abs_diff": max_diff,
@@ -215,20 +218,23 @@ def _exp_major_arc_error(*, seed: int, j_min: int = 8, j_max: int = 14,
                          samples_per_box: int = 6, smoothness: int = 2):
     # the C2 family leaves the discretization error visible above the
     # double-precision floor, so the decay slope is measurable
-    if j_max <= j_min:
-        raise ValueError("need j_max > j_min: two j for a decay step")
+    _need(j_max > j_min, "j_max > j_min: two j for a decay step")
     p = _circle_params(d, epsilon, kappa, C, smoothness)
     j_range = list(range(j_min, j_max + 1))
     # quadrature at 1e-12: at 1e-10 the sups at j = 8, 9 (near 8e-10 and
     # 5e-11) move by about 5e-7 relative, which the results ledger flags
-    sups = [circle.major_box_error_scan(j, p, Q_max, samples_per_box, seed,
-                                        1e-12)["sup_error"] for j in j_range]
+    scans = {j: circle.major_box_error_scan(j, p, Q_max, samples_per_box,
+                                            seed, 1e-12) for j in j_range}
+    sups = [scans[j]["sup_error"] for j in j_range]
     log_sups = np.log2(np.array(sups))
     slope = float(np.polyfit(np.array(j_range, dtype=float), log_sups, 1)[0])
     step = float(np.diff(log_sups).mean())
     rows = [{"j": j, "sup_error": s} for j, s in zip(j_range, sups)]
+    # the scan clamps Q_max to the admissible bound 2^(epsilon j)
     summary = {"mean_log2_step": step, "fitted_exponent": slope,
-               "threshold": -0.5}
+               "threshold": -0.5,
+               "clamped_Q_max": {j: r["Q_max"] for j, r in scans.items()},
+               "boxes": {j: r["boxes"] for j, r in scans.items()}}
     return rows, summary, step <= -0.5
 
 
@@ -236,8 +242,7 @@ def _exp_ej_decay(*, seed: int, j_min: int = 8, j_max: int = 14, d: int = 2,
                   epsilon: float = 0.1, kappa: float = 0.05, C: float = 2.0,
                   samples: int = 40, smoothness: int = 4):
     # decrease is judged on 3-point moving averages: four j give two
-    if j_max - j_min < 3:
-        raise ValueError("need j_max >= j_min + 3: four j for two averages")
+    _need(j_max - j_min >= 3, "j_max >= j_min + 3: four j for two averages")
     p = _circle_params(d, epsilon, kappa, C, smoothness)
     j_range = list(range(j_min, j_max + 1))
     rng = np.random.Generator(np.random.Philox(seed))
@@ -278,6 +283,7 @@ def _exp_xj_restricted(*, seed: int, j_lo: int = 6, j_hi: int = 12,
                        N: int = 4096, smoothness: int = 4):
     # X_j at small j covers most of the torus; the grid (n_lams) must be
     # dense enough that some lambdas land outside it
+    _need(n_seeds >= 1, "n_seeds >= 1")
     p = _circle_params(d, epsilon, kappa, C, smoothness)
     rows = []
     ok = True
@@ -317,8 +323,8 @@ def _exp_carleson(*, N: int = 512, J: int = 6, d: int = 2, grid_size: int = 32,
 def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
                           tol: float = 1e-8, l_min: int = 8, l_max: int = 14,
                           n_xi: int = 50):
-    if l_max <= l_min:
-        raise ValueError("need l_max > l_min: two l for a peak exponent")
+    _need(l_max > l_min, "l_max > l_min: two l for a peak exponent")
+    _need(n_xi >= 1, "n_xi >= 1")
     l_fit = list(range(l_min, l_max + 1))
     rng = make_rng(seed)
     fam = osc.BumpFamily(d=d)
@@ -384,8 +390,8 @@ def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
                 n_pairs: int = 40):
     # the ratio of the TT* kernel to its window, maxed per s; at s = 1 the
     # only fraction with q in [1, 2) is 0/1, so no distinct pair exists
-    if len(set(s_list)) < 2 or min(s_list) < 2:
-        raise ValueError("need two distinct scales, each s >= 2")
+    _need(len(set(s_list)) >= 2 and min(s_list) >= 2,
+          "two distinct scales, each s >= 2")
     rng = np.random.Generator(np.random.Philox(seed))
     ratios = {}
     for s in s_list:
@@ -395,9 +401,9 @@ def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
             # a linearizer value: uniform modulation parameter, reduced
             # through its best rational with denominator in [2^(s-1), 2^s)
             while True:
-                rf = farey.dirichlet_approx(float(rng.random()), q_hi - 1)
-                if q_lo <= rf.denominator < q_hi:
-                    return rf
+                aq = farey.dirichlet_approx(float(rng.random()), q_hi - 1)
+                if q_lo <= aq[1] < q_hi:
+                    return aq
 
         best = 0.0
         for _ in range(n_pairs):
@@ -407,7 +413,7 @@ def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
                 aq, apqp = draw(), draw()
                 if aq != apqp:
                     break
-            Q = math.gcd(aq.denominator, apqp.denominator)
+            Q = math.gcd(aq[1], apqp[1])
             w = int(rng.integers(0, 2 ** (2 * s))) % Q
             best = max(best, abs(spectral.ttstar_frequency_factor(aq, apqp,
                                                                   w, d)))
@@ -421,8 +427,8 @@ def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
 def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
                  J_list: tuple[int, ...] = (4, 8, 16, 32), n_seeds: int = 5,
                  grid_per_interval: int = 4, J_mult: int = 10):
-    if len(set(J_list)) < 2:
-        raise ValueError("need two distinct J for a growth exponent")
+    _need(len(set(J_list)) >= 2, "two distinct J for a growth exponent")
+    _need(n_seeds >= 1, "n_seeds >= 1")
     rows = []
     exponents = []
     for t in range(n_seeds):
@@ -451,6 +457,7 @@ def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
 
 def _exp_variation(*, n_max: int = 8,
                    r_list: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf)):
+    _need(n_max >= 2 and r_list, "n_max >= 2 and an r to compare")
     worst = 0.0
     rows = []
     for n in range(2, n_max + 1):

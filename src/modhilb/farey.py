@@ -1,11 +1,11 @@
 """Exact rational machinery for the circle method.
 
-Reduced fractions on the torus, the Farey neighbours of a rational (the
-one nearest-rational routine), Dirichlet approximation (with its
-brute-force oracle), and the X_j sets of dangerous modulation parameters
-with their membership test.
+The Farey neighbours of a rational (the one nearest-rational routine),
+Dirichlet approximation (with its brute-force oracle), and the X_j sets
+of dangerous modulation parameters with their membership test.
 
-All operations are pure functions on immutable inputs.
+A rational is an integer pair (p, q) in lowest terms (0 <= p < q on the
+torus); all operations are pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -13,45 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class ReducedFraction:
-    """A point a/q on the torus in lowest terms, 0 <= a < q."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise ValueError("denominator must be positive")
-        if not (0 <= self.numerator < self.denominator or
-                (self.numerator == 0 and self.denominator == 1)):
-            raise ValueError("not a canonical torus representative")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("fraction is not reduced")
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-def reduce(a: int, q: int) -> ReducedFraction:
-    """Canonical torus representative of a/q mod 1."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    a %= q
-    g = math.gcd(a, q)
-    return ReducedFraction(a // g, q // g)
 
 
 def farey_neighbours(x, q_max: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -102,12 +63,13 @@ def nearest_fraction(x, q_max: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return hi, (gap_hi, d * hi[1])
 
 
-def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
+def dirichlet_approx(lam: float, q_max: int) -> tuple[int, int]:
     """Best Dirichlet approximation a/q to lam with q <= q_max.
 
     Among all reduced a/q with q <= q_max satisfying the Dirichlet
     inequality |lam - a/q| <= 1/(q*q_max), returns one minimizing
-    |lam - a/q|; ties are broken by the smaller denominator.
+    |lam - a/q|, as the torus pair (a mod q, q); ties are broken by the
+    smaller denominator.
 
     Only the two Farey neighbours of lam in F_{q_max} can win: any other
     such fraction on one side is farther than the neighbour there and
@@ -127,24 +89,20 @@ def dirichlet_approx(lam: float, q_max: int) -> ReducedFraction:
         if best is None or (gap * best[2], q) < (best[0] * q, best[2]):
             best = (gap, a, q)
     assert best is not None, "Dirichlet's theorem guarantees a neighbour"
-    return reduce(best[1], best[2])
+    return best[1] % best[2], best[2]
 
 
-def dirichlet_approx_bruteforce(lam: float, q_max: int) -> ReducedFraction:
+def dirichlet_approx_bruteforce(lam: float, q_max: int) -> tuple[int, int]:
     """Slow double-loop reference for dirichlet_approx (test oracle)."""
     if q_max < 1:
         raise ValueError("q_max must be a positive integer")
     lam_f = Fraction(lam)
-    best = None
-    for q in range(1, q_max + 1):
-        for a in range(0, q + 1):
-            d = abs(lam_f - Fraction(a, q))
-            if d > Fraction(1, q * q_max):
-                continue
-            if best is None or d < best[0]:
-                best = (d, q, a)
-    assert best is not None
-    return reduce(best[2], best[1])
+    # q ascending, so min keeps the smaller denominator on a tie
+    admissible = [Fraction(a, q) for q in range(1, q_max + 1)
+                  for a in range(q + 1)
+                  if abs(lam_f - Fraction(a, q)) <= Fraction(1, q * q_max)]
+    best = min(admissible, key=lambda f: abs(lam_f - f)) % 1
+    return best.numerator, best.denominator
 
 
 def dyadic_width(j: int, exponent_C: float, d: int, prefactor: float = 1.0) -> float:

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .farey import ReducedFraction
 from .osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from .weyl import _complete_sum_row
 
@@ -394,19 +393,22 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
 # ---------------------------------------------------------------------------
 # the TT* kernel's arithmetic factor
 
-def ttstar_frequency_factor(aq: ReducedFraction, apqp: ReducedFraction,
+def ttstar_frequency_factor(aq: tuple[int, int], apqp: tuple[int, int],
                             w: int, d: int) -> complex:
     """The arithmetic factor of the reduced TT* kernel at offset w = x - u.
 
-    With Q = gcd(q, q'), this is
+    At torus points aq = (a, q), apqp = (a', q') in lowest terms, 0 <= a < q
+    (the reduction to Q = gcd(q, q') assumes both), this is
         sum_{c mod Q} R(a/q, c/Q) conj(R(a'/q', c/Q)) e(c w / Q),
     where R(a/q, c/Q) is the complete normalized sum at frequency c/Q.
     The vanishing of R off divisors and the frequency separation of the
     smooth windows phi_s collapse the TT* kernel at scale s to this
     factor times the window autocorrelation phi_s*phi_s(x-u).
     """
-    a, q = aq.numerator, aq.denominator
-    ap, qp = apqp.numerator, apqp.denominator
+    for a, q in (aq, apqp):
+        if not (0 <= a < q and math.gcd(a, q) == 1):
+            raise ValueError(f"need {a}/{q} in lowest terms, 0 <= a < q")
+    (a, q), (ap, qp) = aq, apqp
     Q = math.gcd(q, qp)
     c = np.arange(Q)
     r1 = _complete_sum_row(a, q, d)[c * (q // Q)]

@@ -4,8 +4,9 @@ The normalized complete sum
 
     S(a/q, b/q) = (1/q) * sum_{r=1..q} e(-(a/q) r^d - (b/q) r),
 
-its kernel identity, and the largest admissible |S| at one (a, q), from
-which bench's orthogonality scan and Hua-bound fit are built.
+its kernel identity at any integers a and q >= 1, and the largest
+admissible |S| at one (a, q), from which bench's orthogonality scan and
+Hua-bound fit are built.
 
 One routine computes complete sums: the row S(a/q, b/q), b = 0..q-1.
 The residues a r^d mod q are reduced in exact integer arithmetic before
@@ -23,8 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-from .farey import ReducedFraction
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,13 @@ def _admissible_max(a: int, q: int, d: int) -> tuple[float, int]:
     return float(row[admissible].max()), int(admissible.sum())
 
 
-def weyl_kernel_identity(a_over_q: ReducedFraction, d: int, x: int) -> tuple[complex, complex]:
+def weyl_kernel_identity(a: int, q: int, d: int, x: int) -> tuple[complex, complex]:
     """Both sides of the kernel re-expression at a/q.
 
     lhs = sum_{b=1..q} S(a/q, b/q) e((b/q) x), computed naively;
     rhs = sum_{r=1..q, r = x mod q} e(-(a/q) r^d), a single unimodular
-    term.  The two agree and |rhs| = 1.
+    term.  The two agree and |rhs| = 1, for a/q reduced or not.
     """
-    a, q = a_over_q.numerator, a_over_q.denominator
     row = _complete_sum_row(a, q, d)
     b_arr = np.arange(q)
     lhs = complex((row * np.exp(2j * np.pi * b_arr * x / q)).sum())

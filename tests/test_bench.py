@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from modhilb import circle, farey, osc, spectral
+from modhilb import circle, farey, osc, spectral, weyl
 from modhilb.bench import (EXPERIMENTS, ExperimentConfig, RNG_ALGORITHM,
                            SCHEMA_VERSION, make_rng, run)
 from modhilb.cli import main
@@ -60,18 +60,37 @@ class TestConfig:
             ExperimentConfig("hua-fit", {"q_max": 60.5}).validate()
 
     @pytest.mark.parametrize("name, params", [
-        pytest.param("ej-decay", {"j_min": 8, "j_max": 10}, id="ej-decay-3j"),
-        pytest.param("ttstar", {"s_list": [4]}, id="ttstar-one-scale"),
-        pytest.param("ttstar", {"s_list": [4, 4]}, id="ttstar-repeated-scale"),
+        pytest.param("ej-decay", {"seed": 0, "j_min": 8, "j_max": 10},
+                     id="ej-decay-3j"),
+        pytest.param("ttstar", {"seed": 0, "s_list": [4]},
+                     id="ttstar-one-scale"),
+        pytest.param("ttstar", {"seed": 0, "s_list": [4, 4]},
+                     id="ttstar-repeated-scale"),
         # s = 1 has no distinct pair of fractions to draw: it would never
         # return
-        pytest.param("ttstar", {"s_list": [1]}, id="ttstar-s1"),
-        pytest.param("ttstar", {"s_list": [1, 2]}, id="ttstar-s1-s2"),
-        pytest.param("major-arc-error", {"j_min": 9, "j_max": 9},
+        pytest.param("ttstar", {"seed": 0, "s_list": [1]}, id="ttstar-s1"),
+        pytest.param("ttstar", {"seed": 0, "s_list": [1, 2]},
+                     id="ttstar-s1-s2"),
+        pytest.param("major-arc-error", {"seed": 0, "j_min": 9, "j_max": 9},
                      id="major-arc-error-1j"),
-        pytest.param("stationary-phase", {"l_min": 8, "l_max": 8},
+        pytest.param("stationary-phase", {"seed": 0, "l_min": 8, "l_max": 8},
                      id="stationary-phase-1l"),
-        pytest.param("ergodic", {"J_list": [4]}, id="ergodic-1J"),
+        pytest.param("ergodic", {"seed": 0, "J_list": [4]}, id="ergodic-1J"),
+        # ranges that would check nothing and report a pass
+        pytest.param("weyl-scan", {"q_max": 1}, id="weyl-scan-q1"),
+        pytest.param("weyl-scan", {"d_list": []}, id="weyl-scan-no-d"),
+        pytest.param("kernel-identity", {"q_max": 0},
+                     id="kernel-identity-q0"),
+        pytest.param("kernel-identity", {"d_list": []},
+                     id="kernel-identity-no-d"),
+        pytest.param("variation", {"n_max": 1}, id="variation-n1"),
+        pytest.param("variation", {"r_list": []}, id="variation-no-r"),
+        pytest.param("xj-restricted", {"seed": 0, "n_seeds": 0},
+                     id="xj-restricted-no-seeds"),
+        pytest.param("ergodic", {"seed": 0, "n_seeds": 0},
+                     id="ergodic-no-seeds"),
+        pytest.param("stationary-phase", {"seed": 0, "n_xi": 0},
+                     id="stationary-phase-no-xi"),
     ])
     def test_range_too_short_rejected(self, tmp_path, monkeypatch, name,
                                       params):
@@ -82,12 +101,16 @@ class TestConfig:
 
         for module, attr in [(circle, "major_box_error_scan"),
                              (circle, "error_Ej"),
+                             (circle, "restricted_sup_outside_Xj"),
                              (farey, "dirichlet_approx"),
                              (osc, "G_hat_direct"),
-                             (spectral, "oscillation_sum")]:
+                             (spectral, "oscillation_sum"),
+                             (spectral, "r_variation"),
+                             (weyl, "_admissible_max"),
+                             (weyl, "weyl_kernel_identity")]:
             monkeypatch.setattr(module, attr, no_compute)
         with pytest.raises(ValueError, match="need"):
-            run(ExperimentConfig(name, {"seed": 0, **params}, str(tmp_path)))
+            run(ExperimentConfig(name, params, str(tmp_path)))
         assert not any(tmp_path.iterdir())
 
 
@@ -189,6 +212,19 @@ class TestLightExperiments:
                                str(tmp_path))
         rep = run(cfg)
         assert rep.passed
+
+    def test_major_arc_error_reports_scanned_boxes(self, tmp_path):
+        # Q_max = 3 clamps to int(2^(epsilon j)): 1 at j = 8, 9 and 2 at
+        # j = 10, whose boxes are 0/1 and the three coprime (A, B)/2
+        cfg = ExperimentConfig("major-arc-error",
+                               {"seed": 7, "j_min": 8, "j_max": 10,
+                                "samples_per_box": 1}, str(tmp_path))
+        run(cfg)
+        payload = json.loads(
+            (tmp_path / "major-arc-error.summary.json").read_text())
+        assert payload["summary"]["clamped_Q_max"] == {"8": 1, "9": 1,
+                                                       "10": 2}
+        assert payload["summary"]["boxes"] == {"8": 1, "9": 1, "10": 4}
 
 
 class TestMakeRng:

@@ -9,54 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modhilb.farey import (ReducedFraction, XSet, dirichlet_approx,
-                           dirichlet_approx_bruteforce, dyadic_width,
-                           farey_neighbours, nearest_fraction, reduce,
+from modhilb.farey import (XSet, dirichlet_approx, dirichlet_approx_bruteforce,
+                           dyadic_width, farey_neighbours, nearest_fraction,
                            xset_contains)
-
-
-class TestReduce:
-    def test_gcd_cancellation(self):
-        assert reduce(2, 4) == ReducedFraction(1, 2)
-
-    def test_mod_one_reduction(self):
-        assert reduce(7, 3) == ReducedFraction(1, 3)
-
-    def test_zero_canonical_form(self):
-        assert reduce(0, 5) == ReducedFraction(0, 1)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            reduce(1, 0)
-
-    def test_negative_numerator_wraps(self):
-        assert reduce(-1, 4) == ReducedFraction(3, 4)
-
-
-class TestReducedFraction:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ReducedFraction(2, 4)
-        with pytest.raises(ValueError):
-            ReducedFraction(5, 3)
-        with pytest.raises(ValueError):
-            ReducedFraction(1, -2)
-
-    def test_value(self):
-        assert ReducedFraction(1, 2).value == 0.5
-        assert float(ReducedFraction(1, 4)) == 0.25
 
 
 class TestDirichletApprox:
     def test_exact_rational_input(self):
-        assert dirichlet_approx(0.5, 10) == ReducedFraction(1, 2)
+        assert dirichlet_approx(0.5, 10) == (1, 2)
 
     def test_log10_two(self):
         # frozen from the brute-force double loop over all q <= 64
-        assert dirichlet_approx(0.30103, 64) == ReducedFraction(3, 10)
+        assert dirichlet_approx(0.30103, 64) == (3, 10)
 
     def test_zero(self):
-        assert dirichlet_approx(0.0, 7) == ReducedFraction(0, 1)
+        assert dirichlet_approx(0.0, 7) == (0, 1)
 
     def test_nearer_neighbour_can_fail(self):
         # 1/31 is the nearest fraction, but the inequality rejects it
@@ -65,10 +32,10 @@ class TestDirichletApprox:
         nearest = min((Fraction(*f) for f in farey_neighbours(x, 31)),
                       key=lambda f: abs(x - f))
         assert nearest == Fraction(1, 31)
-        assert dirichlet_approx(lam, 31) == ReducedFraction(0, 1)
+        assert dirichlet_approx(lam, 31) == (0, 1)
 
     def test_q_max_one_always_valid(self):
-        assert dirichlet_approx(0.49, 1) == ReducedFraction(0, 1)
+        assert dirichlet_approx(0.49, 1) == (0, 1)
 
     def test_invalid_q_max(self):
         with pytest.raises(ValueError):
@@ -80,15 +47,30 @@ class TestDirichletApprox:
     def test_matches_bruteforce_oracle(self, lam, q_max):
         assert dirichlet_approx(lam, q_max) == dirichlet_approx_bruteforce(lam, q_max)
 
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=1, max_value=2 ** 20))
+    @settings(max_examples=200, deadline=None)
+    @example(0.0, 7)
+    @example(1.0 - 2.0 ** -40, 5)
+    @example(0.5, 10)
+    def test_torus_pair_in_lowest_terms(self, lam, q_max):
+        a, q = dirichlet_approx(lam, q_max)
+        assert 0 <= a < q <= q_max
+        assert math.gcd(a, q) == 1
+        if lam == 1.0 - 2.0 ** -40:
+            # 1/1 is nearer than any (q - 1)/q with q <= 2^20, and it is
+            # the torus point 0/1
+            assert (a, q) == (0, 1)
+
     def test_dirichlet_inequality_on_grid(self):
         # exact check of |lam - a/q| <= 1/(q q_max) over a uniform grid
         for q_max in (1, 2, 7, 32, 128):
             for i in range(0, 10_000, 37):
                 lam = i / 10_000
-                rf = dirichlet_approx(lam, q_max)
-                gap = abs(Fraction(lam) - rf.as_fraction())
+                a, q = dirichlet_approx(lam, q_max)
+                gap = abs(Fraction(lam) - Fraction(a, q))
                 gap = min(gap, 1 - gap)  # the representative lives on the torus
-                assert gap <= Fraction(1, rf.denominator * q_max)
+                assert gap <= Fraction(1, q * q_max)
 
 
 @cache

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhilb.bench import _exp_ttstar
-from modhilb.farey import ReducedFraction
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
 from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _e_neg,
                               _modulated_outputs, _partition_taps, _phase,
@@ -550,8 +549,7 @@ class TestTapTableCache:
 class TestTTStarKs:
     def test_frequency_factor_parseval_diagonal(self):
         # identical fractions: sum_c |R|^2 = 1 at offset 0 (Parseval)
-        aq = ReducedFraction(3, 8)
-        val = ttstar_frequency_factor(aq, aq, 0, 2)
+        val = ttstar_frequency_factor((3, 8), (3, 8), 0, 2)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("aq, apqp, w, d", [
@@ -568,9 +566,16 @@ class TestTTStarKs:
                    * naive_complete_sum(ap, c * (qp // Q), qp, d).conjugate()
                    * cmath.exp(2j * cmath.pi * c * w / Q) for c in range(Q))
         assert abs(want) > 0.1
-        got = ttstar_frequency_factor(ReducedFraction(a, q),
-                                      ReducedFraction(ap, qp), w, d)
+        got = ttstar_frequency_factor(aq, apqp, w, d)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [(2, 4), (5, 3), (1, 0)],
+                             ids=["2/4", "5/3", "1/0"])
+    def test_frequency_factor_rejects_non_torus_pairs(self, bad):
+        # the reduction to gcd(q, q') needs lowest terms with 0 <= a < q
+        for aq, apqp in ((bad, (1, 3)), ((1, 3), bad)):
+            with pytest.raises(ValueError, match="need"):
+                ttstar_frequency_factor(aq, apqp, 0, 2)
 
     def test_ratio_scan_shape(self):
         _, summary, _ = _exp_ttstar(seed=0, s_list=(2, 3), d=2, n_pairs=8)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from modhilb import weyl
 from modhilb.bench import _exp_hua_fit, _exp_weyl_scan
-from modhilb.farey import ReducedFraction
 from modhilb.weyl import (WeylTriple, _complete_sum_row, complete_weyl_sum,
                           weyl_kernel_identity)
 
@@ -107,9 +106,9 @@ class TestOrthogonalityScan:
         assert row["cases"] > 0
 
     def test_empty_scan(self):
-        [row], _, _ = _exp_weyl_scan(q_max=1, d_list=(2,))
-        assert row["max_abs"] == 0.0
-        assert row["cases"] == 0
+        # q = 1 has no a with gcd(a, q) > 1: nothing would be checked
+        with pytest.raises(ValueError, match="need"):
+            _exp_weyl_scan(q_max=1, d_list=(2,))
 
     def test_cubic_scan(self):
         [row], _, _ = _exp_weyl_scan(q_max=30, d_list=(3,))
@@ -118,13 +117,13 @@ class TestOrthogonalityScan:
 
 class TestKernelIdentity:
     def test_q_one(self):
-        lhs, rhs = weyl_kernel_identity(ReducedFraction(0, 1), 2, 0)
+        lhs, rhs = weyl_kernel_identity(0, 1, 2, 0)
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(1.0)
 
     def test_third_at_two(self):
         # three-term direct evaluation: both sides equal e(-1/3)
-        lhs, rhs = weyl_kernel_identity(ReducedFraction(1, 3), 2, 2)
+        lhs, rhs = weyl_kernel_identity(1, 3, 2, 2)
         expected = cmath.exp(-2j * cmath.pi / 3)
         assert lhs == pytest.approx(expected, abs=1e-12)
         assert rhs == pytest.approx(expected, abs=1e-12)
@@ -135,8 +134,23 @@ class TestKernelIdentity:
                 if math.gcd(a, q) != 1:
                     continue
                 for x in range(q):
-                    _, rhs = weyl_kernel_identity(ReducedFraction(a, q), 2, x)
+                    _, rhs = weyl_kernel_identity(a, q, 2, x)
                     assert abs(abs(rhs) - 1.0) < 1e-12
+
+
+    def test_non_reduced_pair(self):
+        # the identity holds for a/q as given, reduced or not
+        for a, q in ((2, 6), (0, 4), (3, 9)):
+            for d in (2, 3):
+                for x in range(q):
+                    lhs, rhs = weyl_kernel_identity(a, q, d, x)
+                    assert abs(lhs - rhs) < 1e-12
+                    assert abs(abs(rhs) - 1.0) < 1e-12
+        # 2/6 = 1/3: at x = 2 both sides are e(-(1/3) 2^2) = e(-1/3)
+        lhs, rhs = weyl_kernel_identity(2, 6, 2, 2)
+        expected = cmath.exp(-2j * cmath.pi / 3)
+        assert lhs == pytest.approx(expected, abs=1e-12)
+        assert rhs == pytest.approx(expected, abs=1e-12)
 
 
 class TestHuaFit:
