@@ -1,4 +1,4 @@
-"""Circle-method approximants and the sups that measure them.
+"""Circle-method approximants, their error multiplier and the sup outside X_j.
 
 The approximant L_{j,s} glues a complete Gauss sum to the continuous
 block H_j near each rational center with denominator in [2^(s-1), 2^s),
@@ -140,17 +140,6 @@ def _contributing_centers(lam: float, beta: float, s: int,
     return [(a * (Q // qa) % Q, b * (Q // qb) % Q, Q)]
 
 
-def _all_centers(s: int) -> list[tuple[int, int, int]]:
-    """Full enumeration of the scale-s center set (slow test oracle)."""
-    out = []
-    for Q in range(2 ** (s - 1), 2 ** s):
-        for A in range(Q):
-            for B in range(Q):
-                if math.gcd(math.gcd(A, B), Q) == 1:
-                    out.append((A, B, Q))
-    return out
-
-
 def _ljs_term(lam: float, beta: float, j: int, s: int, A: int, B: int, Q: int,
               p: ApproxParams, tol: float) -> complex:
     # the Xi_j window is X_j's comparison: exact offset against its width
@@ -179,16 +168,6 @@ def L_js(lam: float, beta: float, j: int, s: int, p: ApproxParams,
     return total
 
 
-def L_js_full_enumeration(lam: float, beta: float, j: int, s: int,
-                          p: ApproxParams, tol: float = 1e-10) -> complex:
-    """Slow oracle for L_js summing over the entire center set.
-
-    A center outside either cutoff contributes an exact 0.
-    """
-    return sum((_ljs_term(lam, beta, j, s, A, B, Q, p, tol)
-                for A, B, Q in _all_centers(s)), 0j)
-
-
 def L_j(lam: float, beta: float, j: int, p: ApproxParams,
         tol: float = 1e-10) -> complex:
     """sum over s with 2^s <= j^C of L_js; empty range gives 0."""
@@ -209,45 +188,6 @@ def error_Ej(lam: float, beta: float, j: int, p: ApproxParams,
     inside = xset_contains(lam, p.xset(j))
     mj = multiplier_Mj(lam, beta, j, p.d, p.fam) if inside else 0j
     return mj - L_j(lam, beta, j, p, tol)
-
-
-def major_box_error_scan(j: int, p: ApproxParams, Q_max: int,
-                         samples_per_box: int, seed: int, tol: float) -> dict:
-    """sup over sampled major-box points of |M_j - S H_j(offsets)|.
-
-    Visits every box with common denominator Q <= Q_max (coprime triples
-    (A, B, Q)), samples points uniformly inside, and includes the center
-    itself where H_j vanishes.  Denominators above the admissible bound
-    2^(epsilon j) carry no box at scale j and are skipped.
-    """
-    Q_max = min(Q_max, int(2.0 ** (p.epsilon * j)))
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, j]))
-    hw_l = 2.0 ** ((p.epsilon - p.d) * j)
-    hw_b = 2.0 ** ((p.epsilon - 1.0) * j)
-    sup = 0.0
-    boxes = 0
-    for Q in range(1, Q_max + 1):
-        for A in range(Q):
-            row = _complete_sum_row(A, Q, p.d)
-            for B in range(Q):
-                if math.gcd(math.gcd(A, B), Q) != 1:
-                    continue
-                boxes += 1
-                S = row[B]
-                offsets = rng.uniform(-1.0, 1.0, size=(samples_per_box, 2))
-                offsets = np.vstack([offsets, [0.0, 0.0]])
-                for ol, ob in offsets:
-                    lam = (A / Q + ol * hw_l) % 1.0
-                    beta = (B / Q + ob * hw_b) % 1.0
-                    # re-derive the offsets from the rounded points so the
-                    # two sides of the comparison see identical arguments
-                    dl = _exact_offset(lam, A, Q)
-                    db = _exact_offset(beta, B, Q)
-                    approx = S * H_j(dl, db, j, p.d, p.fam, tol)
-                    err = abs(multiplier_Mj(lam, beta, j, p.d, p.fam) - approx)
-                    sup = max(sup, err)
-    return {"j": j, "Q_max": Q_max, "boxes": boxes,
-            "samples_per_box": samples_per_box, "sup_error": sup}
 
 
 def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,

@@ -1,8 +1,8 @@
 """Exact rational machinery for the circle method.
 
 The Farey neighbours of a rational (the one nearest-rational routine),
-Dirichlet approximation (with its brute-force oracle), and the X_j sets
-of dangerous modulation parameters with their membership test.
+Dirichlet approximation, and the X_j sets of dangerous modulation
+parameters with their membership test.
 
 A rational is an integer pair (p, q) in lowest terms (0 <= p < q on the
 torus); all operations are pure functions on immutable inputs.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 def farey_neighbours(x, q_max: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -88,21 +87,10 @@ def dirichlet_approx(lam: float, q_max: int) -> tuple[int, int]:
         # nearer (gap / q smaller, cross-multiplied), then smaller q
         if best is None or (gap * best[2], q) < (best[0] * q, best[2]):
             best = (gap, a, q)
-    assert best is not None, "Dirichlet's theorem guarantees a neighbour"
+    if best is None:  # ruled out by Dirichlet's theorem
+        raise ValueError(f"no Farey neighbour of {lam} meets the Dirichlet "
+                         f"inequality at q_max = {q_max}")
     return best[1] % best[2], best[2]
-
-
-def dirichlet_approx_bruteforce(lam: float, q_max: int) -> tuple[int, int]:
-    """Slow double-loop reference for dirichlet_approx (test oracle)."""
-    if q_max < 1:
-        raise ValueError("q_max must be a positive integer")
-    lam_f = Fraction(lam)
-    # q ascending, so min keeps the smaller denominator on a tie
-    admissible = [Fraction(a, q) for q in range(1, q_max + 1)
-                  for a in range(q + 1)
-                  if abs(lam_f - Fraction(a, q)) <= Fraction(1, q * q_max)]
-    best = min(admissible, key=lambda f: abs(lam_f - f)) % 1
-    return best.numerator, best.denominator
 
 
 def dyadic_width(j: int, exponent_C: float, d: int, prefactor: float = 1.0) -> float:

@@ -1,9 +1,8 @@
 """Bump families and oscillatory-integral evaluation.
 
 Concrete realizations of the cutoffs (eta, psi, chi, zeta, xi0), the
-continuous multiplier block H_j, the windowed oscillatory symbol G with
-its stationary-phase split at the critical points, and the square
-function built from G.
+continuous multiplier block H_j, and the windowed oscillatory symbol G
+with its stationary-phase split at the critical points.
 
 The base cutoff eta is a polynomial smoothstep (default degree 9, C^4):
 eta = 1 on [-1,1], 0 outside [-2,2], monotone on the transition bands.
@@ -29,7 +28,6 @@ because the benchmark's tracer wraps it by name on this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -494,19 +492,6 @@ class PhaseContext:
         return math.ldexp(self.lam, self.d * self.k)
 
 
-def critical_point(xi: float, ctx: PhaseContext) -> list[float]:
-    """Real solutions t of d lam 2^(k(d-1)) t^(d-1) = -xi.
-
-    One root for d even; for d odd, two roots when xi < 0 and none when
-    xi > 0.  xi = 0 is degenerate and yields the empty list with a
-    diagnostic warning.
-    """
-    if xi == 0.0:
-        warnings.warn("critical_point: xi = 0 is degenerate; no roots returned")
-        return []
-    return list(_g_phase(ctx, xi).critical_points)
-
-
 def _g_phase(ctx: PhaseContext, xi: float) -> _PolynomialPhase:
     return _PolynomialPhase(ctx.lam2kd, math.ldexp(float(xi), ctx.k), ctx.d)
 
@@ -561,52 +546,3 @@ def stationary_phase_split(xi: float, ctx: PhaseContext,
     # window at the larger root; with no root the B parts vanish
     parts += [0j] * (3 - len(parts))
     return (parts[0], parts[1], None if d_even else parts[2])
-
-
-# ---------------------------------------------------------------------------
-# square function
-
-def square_function_S_G(f, l: int, k_range: tuple[int, int],
-                        lambda_grid_per_slab: int, d: int,
-                        fam: BumpFamily = DEFAULT_BUMPS, tol: float = 1e-8):
-    """Discrete square function built from the windowed symbols.
-
-    For each k in k_range, integrates |G_lam * f|^2 over the dyadic slab
-    of lam values by the trapezoid rule on a lambda grid, weights the
-    slab by 2^(dk), sums over k and takes a pointwise square root.
-    Convolutions run on the smallest power-of-two ring of at least 4x
-    the support of f.
-    """
-    from .spectral import Signal, apply_multiplier
-
-    if lambda_grid_per_slab < 1:
-        raise ValueError("need at least one grid point per slab")
-    k_min, k_max = k_range
-    width = max(len(f.values), 1)
-    ring_size = 1
-    while ring_size < 4 * width:
-        ring_size *= 2
-    acc = np.zeros(ring_size)
-    for k in range(k_min, k_max + 1):
-        slab_lo = math.ldexp(1.0, l - d * k)
-        slab_hi = 2.0 * slab_lo
-        n = lambda_grid_per_slab
-        if n == 1:
-            lams = np.array([slab_lo])
-            weights = np.array([slab_hi - slab_lo])
-        else:
-            lams = np.linspace(slab_lo, slab_hi, n)
-            dx = (slab_hi - slab_lo) / (n - 1)
-            weights = np.full(n, dx)
-            weights[0] = weights[-1] = dx / 2
-        for lam, wgt in zip(lams, weights):
-            lam = min(lam, np.nextafter(slab_hi, 0.0))
-            ctx = PhaseContext(d, k, l, lam)
-
-            def symbol(betas, ctx=ctx):
-                xi = betas - np.round(betas)
-                return np.array([G_hat_direct(x, ctx, fam, tol) for x in xi])
-
-            conv = apply_multiplier(f, symbol, ring_size)
-            acc += math.ldexp(1.0, d * k) * wgt * np.abs(conv.values) ** 2
-    return Signal(0, np.sqrt(acc).astype(complex))

@@ -1,10 +1,11 @@
 """Finite-signal engine.
 
-DFT-based multiplier application on cyclic rings, the block multipliers
-M_j and the truncated symbol M, the maximal modulated-Hilbert operator
-over a modulation grid (with a direct convolution oracle), the
-arithmetic factor of the TT* kernel, and the r-variation (with its
-exhaustive oracle) and oscillation functionals.
+DFT-based multiplier application on cyclic rings with the square
+function of the symbols G, the block multipliers M_j and the truncated
+symbol M, the maximal modulated-Hilbert operator over a modulation grid
+(with a direct convolution oracle), the arithmetic factor of the TT*
+kernel, and the r-variation (with its exhaustive oracle) and
+oscillation functionals.
 
 Fourier convention: the forward transform uses the kernel e(-beta n), so
 dft agrees with the standard FFT sign.  A Signal returned by a ring
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .osc import DEFAULT_BUMPS, BumpFamily, psi_j
+from .osc import DEFAULT_BUMPS, BumpFamily, G_hat_direct, PhaseContext, psi_j
 from .weyl import _complete_sum_row
 
 
@@ -61,15 +62,6 @@ class Signal:
     def support_width(self) -> int:
         return len(self.trimmed()[1])
 
-    def value_at(self, x: int) -> complex:
-        i = x - self.offset
-        if 0 <= i < len(self.values):
-            return complex(self.values[i])
-        return 0j
-
-    def translate(self, h: int) -> "Signal":
-        return Signal(self.offset + h, self.values.copy())
-
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
 
@@ -88,12 +80,6 @@ class LambdaGrid:
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, n: int) -> "LambdaGrid":
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls(tuple(i / n for i in range(n)), provenance=f"uniform({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +118,53 @@ def apply_multiplier(f: Signal, m: Callable, ring_size: int) -> Signal:
         raise ValueError(f"multiplier returned shape {mv.shape}, "
                          f"expected {betas.shape}")
     return Signal(0, idft(dft(ring) * mv))
+
+
+# ---------------------------------------------------------------------------
+# the square function
+
+def square_function_S_G(f: Signal, l: int, k_range: tuple[int, int],
+                        lambda_grid_per_slab: int, d: int,
+                        fam: BumpFamily = DEFAULT_BUMPS, tol: float = 1e-8):
+    """Discrete square function built from the windowed symbols.
+
+    For each k in k_range, integrates |G_lam * f|^2 over the dyadic slab
+    of lam values by the trapezoid rule on a lambda grid, weights the
+    slab by 2^(dk), sums over k and takes a pointwise square root.
+    Convolutions run on the smallest power-of-two ring of at least 4x
+    the support of f.
+    """
+    if lambda_grid_per_slab < 1:
+        raise ValueError("need at least one grid point per slab")
+    k_min, k_max = k_range
+    width = max(len(f.values), 1)
+    ring_size = 1
+    while ring_size < 4 * width:
+        ring_size *= 2
+    acc = np.zeros(ring_size)
+    for k in range(k_min, k_max + 1):
+        slab_lo = math.ldexp(1.0, l - d * k)
+        slab_hi = 2.0 * slab_lo
+        n = lambda_grid_per_slab
+        if n == 1:
+            lams = np.array([slab_lo])
+            weights = np.array([slab_hi - slab_lo])
+        else:
+            lams = np.linspace(slab_lo, slab_hi, n)
+            dx = (slab_hi - slab_lo) / (n - 1)
+            weights = np.full(n, dx)
+            weights[0] = weights[-1] = dx / 2
+        for lam, wgt in zip(lams, weights):
+            lam = min(lam, np.nextafter(slab_hi, 0.0))
+            ctx = PhaseContext(d, k, l, lam)
+
+            def symbol(betas, ctx=ctx):
+                xi = betas - np.round(betas)
+                return np.array([G_hat_direct(x, ctx, fam, tol) for x in xi])
+
+            conv = apply_multiplier(f, symbol, ring_size)
+            acc += math.ldexp(1.0, d * k) * wgt * np.abs(conv.values) ** 2
+    return Signal(0, np.sqrt(acc).astype(complex))
 
 
 # ---------------------------------------------------------------------------

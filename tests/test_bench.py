@@ -91,6 +91,11 @@ class TestConfig:
                      id="ergodic-no-seeds"),
         pytest.param("stationary-phase", {"seed": 0, "n_xi": 0},
                      id="stationary-phase-no-xi"),
+        pytest.param("ej-decay", {"seed": 0, "samples": 0},
+                     id="ej-decay-no-samples"),
+        # an input that is neither "delta" nor "random" (a typo)
+        pytest.param("carleson", {"input": "deltax", "N": 64, "J": 3},
+                     id="carleson-unknown-input"),
     ])
     def test_range_too_short_rejected(self, tmp_path, monkeypatch, name,
                                       params):
@@ -99,11 +104,13 @@ class TestConfig:
         def no_compute(*args, **kwargs):
             raise AssertionError("computed on a rejected range")
 
-        for module, attr in [(circle, "major_box_error_scan"),
-                             (circle, "error_Ej"),
+        for module, attr in [(circle, "error_Ej"),
                              (circle, "restricted_sup_outside_Xj"),
                              (farey, "dirichlet_approx"),
                              (osc, "G_hat_direct"),
+                             (osc, "H_j"),
+                             (spectral, "carleson_apply"),
+                             (spectral, "multiplier_Mj"),
                              (spectral, "oscillation_sum"),
                              (spectral, "r_variation"),
                              (weyl, "_admissible_max"),
@@ -194,6 +201,24 @@ class TestLightExperiments:
         # the JSON boolean true, not the string "True"
         summary = json.loads((tmp_path / "carleson.summary.json").read_text())
         assert summary["pass"] is True
+
+    def test_carleson_random_checked_against_oracle(self, tmp_path,
+                                                    monkeypatch):
+        params = {"N": 64, "J": 3, "grid_size": 4, "input": "random"}
+        rep = run(ExperimentConfig("carleson", params, str(tmp_path / "a")))
+        assert rep.passed
+        assert rep.summary["oracle_max_diff"] < 1e-9
+        # a direct convolution that disagrees by 1e-6 fails the run
+        oracle = spectral.carleson_direct_oracle
+
+        def perturbed(*args):
+            out = oracle(*args)
+            return spectral.Signal(out.offset, out.values + 1e-6)
+
+        monkeypatch.setattr(spectral, "carleson_direct_oracle", perturbed)
+        rep = run(ExperimentConfig("carleson", params, str(tmp_path / "b")))
+        assert not rep.passed
+        assert rep.summary["oracle_max_diff"] > 1e-9
 
     def test_hua_fit_small(self, tmp_path):
         cfg = ExperimentConfig("hua-fit", {"q_max": 60}, str(tmp_path))

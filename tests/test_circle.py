@@ -9,16 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhilb import circle
-from modhilb.circle import (ApproxParams, L_j, L_js, L_js_full_enumeration,
-                            _all_centers, _contributing_centers, _exact_offset,
-                            error_Ej, major_box_error_scan,
-                            restricted_sup_outside_Xj)
+from modhilb.bench import _exp_major_arc_error
+from modhilb.circle import (ApproxParams, L_j, L_js, _contributing_centers,
+                            _exact_offset, error_Ej, restricted_sup_outside_Xj)
 from modhilb.farey import xset_contains
 from modhilb.osc import H_j
 from modhilb.spectral import (LambdaGrid, Signal, apply_multiplier,
                               multiplier_Mj)
 from modhilb.weyl import WeylTriple, complete_weyl_sum
 
+from oracles import L_js_full_enumeration, all_centers
 from test_farey import EXACT_EDGE_FLOATS
 
 
@@ -89,7 +89,7 @@ class TestContributingCenters:
         rng = np.random.Generator(np.random.Philox(17))
         for s in (1, 2, 3, 4):
             radius = P2.chi_s_radius(s)
-            centers = _all_centers(s)
+            centers = all_centers(s)
 
             def near(x, num, den):
                 if abs((x - num / den + 0.5) % 1.0 - 0.5) > 2.0 * radius:
@@ -119,7 +119,7 @@ class TestContributingCenters:
         # negative, subnormal and exactly rational points, and the same
         # points moved to within 1.3 radii of the nearest scale-s center
         radius = P2.chi_s_radius(s)
-        centers = _all_centers(s)
+        centers = all_centers(s)
         a, b, q = centers[int(abs(lam) * 1e6) % len(centers)]
         moved = (-a / q + shift[0] * radius, b / q - 1.0 + shift[1] * radius)
         for x, y in ((lam, beta), moved):
@@ -236,14 +236,17 @@ class TestErrorEj:
 
 class TestMajorBoxScan:
     def test_scan_reports_all_boxes(self):
-        rep = major_box_error_scan(8, P2, 1, 2, seed=0, tol=1e-12)
-        assert rep["boxes"] == 1
-        assert rep["sup_error"] >= 0.0
+        rows, summary, _ = _exp_major_arc_error(seed=0, j_min=8, j_max=9,
+                                                Q_max=1, samples_per_box=2)
+        assert summary["boxes"] == {8: 1, 9: 1}
+        assert all(row["sup_error"] >= 0.0 for row in rows)
 
     def test_qmax_clamped_to_admissible_bound(self):
-        # at j=8, eps=0.1 only Q = 1 is admissible; larger requests clamp
-        rep = major_box_error_scan(8, P2, 3, 1, seed=0, tol=1e-12)
-        assert rep["Q_max"] == 1
+        # at j = 8, 9 and eps = 0.1 only Q = 1 is admissible; larger
+        # requests clamp
+        _, summary, _ = _exp_major_arc_error(seed=0, j_min=8, j_max=9,
+                                             Q_max=3, samples_per_box=1)
+        assert summary["clamped_Q_max"] == {8: 1, 9: 1}
 
 
 class TestRestrictedSup:

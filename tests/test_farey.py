@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modhilb.farey import (XSet, dirichlet_approx, dirichlet_approx_bruteforce,
-                           dyadic_width, farey_neighbours, nearest_fraction,
-                           xset_contains)
+from modhilb.farey import (XSet, dirichlet_approx, dyadic_width,
+                           farey_neighbours, nearest_fraction, xset_contains)
+
+from oracles import dirichlet_approx_bruteforce
 
 
 class TestDirichletApprox:
