@@ -51,7 +51,8 @@ def _cast(key: str, value, kind):
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (kind is int and out != value):
+    # a bool is no number, and an int or a str must come through unchanged
+    if out is None or isinstance(value, bool) or (kind is not float and out != value):
         raise ValueError(f"config key {key!r}: {value!r} is not a valid "
                          f"{kind.__name__}")
     return out
@@ -153,11 +154,10 @@ def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
     for d in d_list:
         max_abs, count = 0.0, 0
         for q in range(2, q_max + 1):
-            for a in range(q):
-                if math.gcd(a, q) > 1:
-                    peak, cases = weyl._admissible_max(a, q, d)
-                    max_abs = max(max_abs, peak)
-                    count += cases
+            table, admissible = weyl._admissible_table(q, d)
+            cases = admissible & (np.gcd(np.arange(q), q) > 1)[:, None]
+            max_abs = max(max_abs, float(table[cases].max()))
+            count += int(cases.sum())
         rows.append({"d": d, "q_max": q_max, "cases": count,
                      "max_abs": max_abs})
         worst = max(worst, max_abs)
@@ -167,13 +167,13 @@ def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
 def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
     # slope of log max |S| against log q, max per q over admissible (a, b)
     _need(q_max >= 8, "q_max >= 8")
-    qs, maxima = [], []
+    # the row a = 1 is all admissible and by Parseval its |S|^2 sum to 1,
+    # so every max is positive and has a logarithm
+    maxima = []
     for q in range(2, q_max + 1):
-        best = max(weyl._admissible_max(a, q, d)[0] for a in range(q))
-        if best > 0.0:
-            qs.append(q)
-            maxima.append(best)
-    qs_a = np.array(qs, dtype=float)
+        table, admissible = weyl._admissible_table(q, d)
+        maxima.append(float(table[admissible].max()))
+    qs_a = np.arange(2.0, q_max + 1)
     max_a = np.array(maxima)
     slope = float(np.polyfit(np.log(qs_a), np.log(max_a), 1)[0])
     const = float((max_a * qs_a ** (1.0 / d)).max())

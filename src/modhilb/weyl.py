@@ -4,17 +4,18 @@ The normalized complete sum
 
     S(a/q, b/q) = (1/q) * sum_{r=1..q} e(-(a/q) r^d - (b/q) r),
 
-its kernel identity at any integers a and q >= 1, and the largest
-admissible |S| at one (a, q), from which bench's orthogonality scan and
+its kernel identity at any integers a and q >= 1, and the per-q table of
+|S| with its admissible (a, b), from which bench's orthogonality scan and
 Hua-bound fit are built.
 
-One routine computes complete sums: the row S(a/q, b/q), b = 0..q-1.
-The residues a r^d mod q are reduced in exact integer arithmetic before
-the single transcendental call, so no drift accumulates even for large
-q, and b enters through one length-q FFT.  The summation index runs
-1..q; by periodicity this agrees with 0..q-1, the order the FFT uses.
-Rows are kept read-only in a small least-recently-used cache, since the
-circle method asks for the same few rows at point after point.
+One routine computes complete sums: the rows S(a/q, b/q), b = 0..q-1, of
+one a or of an array of a.  a is taken mod q, and the residues a r^d mod q
+are reduced in exact integer arithmetic before the single transcendental
+call, so no drift accumulates even for large q; b enters through one
+length-q FFT per row.  The summation index runs 1..q; by periodicity this
+agrees with 0..q-1, the order the FFT uses.  Single rows are kept
+read-only in a small least-recently-used cache, since the circle method
+asks for the same few rows at point after point; per-q tables are not.
 """
 
 from __future__ import annotations
@@ -49,23 +50,24 @@ class WeylTriple:
             raise ValueError("need gcd(a, b, q) = 1")
 
 
-def _fresh_row(a: int, q: int, d: int) -> np.ndarray:
+def _fresh_row(a: int | np.ndarray, q: int, d: int) -> np.ndarray:
     """S(a/q, b/q) for all b = 0..q-1 at once, via a length-q DFT.
 
-    With x_r = e(-(a/q) r^d), the b-th sum is (1/q) * DFT(x)[b]; the
-    residues a r^d mod q are computed exactly in int64 (every product
-    stays below q^2, so q < 3e9) before exponentiation.
+    One row per entry of a, an int or a 1-D int array, taken mod q.  With
+    x_r = e(-(a/q) r^d), the b-th sum is (1/q) * DFT(x)[b]; the residues
+    a r^d mod q are computed exactly in int64 (every product stays below
+    q^2, so q < 3e9) before exponentiation.
     """
     r = np.arange(q, dtype=np.int64)
     rd = r
     for _ in range(d - 1):
         rd = rd * r % q
-    ks = (a * rd) % q
+    ks = np.multiply.outer(a % q, rd) % q
     x = np.exp(-2j * np.pi * ks / q)
     return np.fft.fft(x) / q
 
 
-# read-only rows by (a, q, d), least recently used first, holding at
+# read-only rows by (a mod q, q, d), least recently used first, holding at
 # most _ROW_CACHE_BYTES of row data
 _ROWS: OrderedDict = OrderedDict()
 _ROW_CACHE_BYTES = 1 << 19
@@ -75,7 +77,7 @@ _row_bytes = 0
 def _complete_sum_row(a: int, q: int, d: int) -> np.ndarray:
     """The read-only row S(a/q, b/q), b = 0..q-1, built once while cached."""
     global _row_bytes
-    key = (a, q, d)
+    key = (a % q, q, d)
     row = _ROWS.get(key)
     if row is not None:
         _ROWS.move_to_end(key)
@@ -94,14 +96,12 @@ def complete_weyl_sum(t: WeylTriple) -> complex:
     return complex(_complete_sum_row(t.a, t.q, t.d)[t.b])
 
 
-def _admissible_max(a: int, q: int, d: int) -> tuple[float, int]:
-    """max |S(a/q, b/q)| over the b with gcd(a, b, q) = 1, and their count.
-
-    b = 1 is always admissible, so for q >= 2 the set is never empty.
-    """
-    admissible = np.gcd(math.gcd(a, q), np.arange(q)) == 1
-    row = np.abs(_complete_sum_row(a, q, d))
-    return float(row[admissible].max()), int(admissible.sum())
+def _admissible_table(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """|S(a/q, b/q)| for a, b = 0..q-1, uncached, and the mask of admissible
+    (a, b), gcd(a, b, q) = 1; for q >= 2 b = 1 is admissible in every row."""
+    a = np.arange(q)
+    admissible = np.gcd.outer(np.gcd(a, q), a) == 1
+    return np.abs(_fresh_row(a, q, d)), admissible
 
 
 def weyl_kernel_identity(a: int, q: int, d: int, x: int) -> tuple[complex, complex]:

@@ -60,6 +60,22 @@ class TestConfig:
             ExperimentConfig("hua-fit", {"q_max": 60.5}).validate()
 
     @pytest.mark.parametrize("name, params", [
+        pytest.param("ttstar", {"seed": True, "s_list": [2, 3]},
+                     id="bool-as-int"),
+        pytest.param("stationary-phase", {"seed": 0, "tol": False},
+                     id="bool-as-float"),
+        pytest.param("weyl-scan", {"d_list": [True]},
+                     id="bool-in-int-list"),
+        pytest.param("carleson", {"input": 5}, id="int-as-str"),
+        pytest.param("hua-fit", {"q_max": "60"}, id="str-as-int"),
+    ])
+    def test_wrong_scalar_type_rejected(self, name, params):
+        # Python would convert each of these: True to 1, False to 0.0, 5 to
+        # "5"; a config that says so is a mistake, not a value
+        with pytest.raises(ValueError, match="is not a valid"):
+            ExperimentConfig(name, params).validate()
+
+    @pytest.mark.parametrize("name, params", [
         pytest.param("ej-decay", {"seed": 0, "j_min": 8, "j_max": 10},
                      id="ej-decay-3j"),
         pytest.param("ttstar", {"seed": 0, "s_list": [4]},
@@ -113,7 +129,7 @@ class TestConfig:
                              (spectral, "multiplier_Mj"),
                              (spectral, "oscillation_sum"),
                              (spectral, "r_variation"),
-                             (weyl, "_admissible_max"),
+                             (weyl, "_admissible_table"),
                              (weyl, "weyl_kernel_identity")]:
             monkeypatch.setattr(module, attr, no_compute)
         with pytest.raises(ValueError, match="need"):
@@ -244,12 +260,14 @@ class TestLightExperiments:
         cfg = ExperimentConfig("major-arc-error",
                                {"seed": 7, "j_min": 8, "j_max": 10,
                                 "samples_per_box": 1}, str(tmp_path))
-        run(cfg)
+        rep = run(cfg)
         payload = json.loads(
             (tmp_path / "major-arc-error.summary.json").read_text())
         assert payload["summary"]["clamped_Q_max"] == {"8": 1, "9": 1,
                                                        "10": 2}
         assert payload["summary"]["boxes"] == {"8": 1, "9": 1, "10": 4}
+        assert [row["j"] for row in rep.rows] == [8, 9, 10]
+        assert all(row["sup_error"] >= 0.0 for row in rep.rows)
 
 
 class TestMakeRng:

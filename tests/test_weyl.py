@@ -90,6 +90,24 @@ class TestRowCache:
                     [a * pow(r, d, q) % q for r in range(q)]) / q)) / q
                 assert np.array_equal(weyl._fresh_row(a % q, q, d), expect)
 
+    def test_unreduced_numerator_gives_the_reduced_row(self):
+        # a r^d in int64 would overflow at this a; a is taken mod q first
+        a, q = 10 ** 15 + 3, 10007
+        row = _complete_sum_row(a, q, 2)
+        assert row is _complete_sum_row(a % q, q, 2)
+        assert np.array_equal(row, weyl._fresh_row(a % q, q, 2))
+
+    def test_table_rows_are_single_rows(self):
+        # the per-q table and its admissible mask, entry by entry
+        for d in (2, 3):
+            for q in list(range(1, 31)) + [97, 128, 200]:
+                table, admissible = weyl._admissible_table(q, d)
+                for a in range(q):
+                    row = weyl._fresh_row(a, q, d)
+                    assert np.array_equal(table[a], np.abs(row))
+                    assert admissible[a].tolist() == [
+                        math.gcd(math.gcd(a, b), q) == 1 for b in range(q)]
+
     def test_cache_holds_at_most_its_byte_bound(self):
         for q in range(100, 400):
             _complete_sum_row(1, q, 2)
@@ -151,6 +169,38 @@ class TestKernelIdentity:
         expected = cmath.exp(-2j * cmath.pi / 3)
         assert lhs == pytest.approx(expected, abs=1e-12)
         assert rhs == pytest.approx(expected, abs=1e-12)
+        # a numerator whose products a r^d would overflow int64
+        lhs, rhs = weyl_kernel_identity(10 ** 15 + 3, 10007, 2, 97)
+        assert abs(lhs - rhs) < 1e-10
+
+
+class TestQuadraticClosedForm:
+    """For d = 2 and gcd(a, q) = 1, |S(a/q, b/q)| is q^(-1/2) at odd q; at
+    q = 2 mod 4 it is sqrt(2/q) for odd b and 0 for even b; at q = 0 mod 4
+    it is sqrt(2/q) for even b and 0 for odd b.  This oracle needs no FFT."""
+
+    @staticmethod
+    def closed_form(q):
+        if q % 2:
+            return np.full(q, q ** -0.5)
+        b = np.arange(q)
+        live = b % 2 == (1 if q % 4 == 2 else 0)
+        return np.where(live, math.sqrt(2 / q), 0.0)
+
+    def test_cached_rows(self):
+        for q in range(1, 201):
+            expect = self.closed_form(q)
+            for a in range(q):
+                if math.gcd(a, q) == 1:
+                    got = np.abs(_complete_sum_row(a, q, 2))
+                    assert np.abs(got - expect).max() < 1e-14, (a, q)
+
+    def test_per_q_table(self):
+        for q in range(1, 201):
+            table, _ = weyl._admissible_table(q, 2)
+            coprime = np.gcd(np.arange(q), q) == 1
+            err = np.abs(table[coprime] - self.closed_form(q)).max()
+            assert err < 1e-14, q
 
 
 class TestHuaFit:
