@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modhilb import circle
+from modhilb.bench import _exp_major_arc_error
 from modhilb.circle import (ApproxParams, L_j, L_js, _contributing_centers,
                             _exact_offset, error_Ej, restricted_sup_outside_Xj)
 from modhilb.farey import xset_contains
@@ -231,6 +232,21 @@ class TestErrorEj:
         # deep inside the (0,0,1) box the approximant tracks the block
         lam, beta = 2.0 ** -25, 2.0 ** -15
         assert abs(error_Ej(lam, beta, 10, P2)) < 1e-2
+
+
+class TestMajorBoxScan:
+    # the major-box scan lives in the major-arc-error experiment body
+    def test_scan_reports_all_boxes(self):
+        rows, summary, _ = _exp_major_arc_error(seed=0, j_min=8, j_max=9,
+                                                Q_max=1, samples_per_box=2)
+        assert summary["boxes"][8] == 1
+        assert all(row["sup_error"] >= 0.0 for row in rows)
+
+    def test_qmax_clamped_to_admissible_bound(self):
+        # at j=8, eps=0.1 only Q = 1 is admissible; larger requests clamp
+        _, summary, _ = _exp_major_arc_error(seed=0, j_min=8, j_max=9,
+                                             Q_max=3, samples_per_box=1)
+        assert summary["clamped_Q_max"][8] == 1
 
 
 class TestRestrictedSup:
