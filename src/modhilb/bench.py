@@ -51,8 +51,10 @@ def _cast(key: str, value, kind):
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    # a bool is no number, and an int or a str must come through unchanged
-    if out is None or isinstance(value, bool) or (kind is not float and out != value):
+    # a bool is no number, an int or a str must come through unchanged,
+    # and a float may be inf but not NaN
+    if out is None or isinstance(value, bool) or (
+            math.isnan(out) if kind is float else out != value):
         raise ValueError(f"config key {key!r}: {value!r} is not a valid "
                          f"{kind.__name__}")
     return out

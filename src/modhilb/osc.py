@@ -12,11 +12,11 @@ are certified by construction rather than assumed.
 Every symbol integral here has the polynomial phase -(X t^d + Y t) and an
 amplitude that is smooth between breakpoints known in advance.  All of
 them run through one core, adaptive Levin collocation over both halves of
-supp psi, whose cost does not grow with the frequency and which falls
-back to Clenshaw-Curtis on panels of less than one turn.  Its panels
-start graded toward each stationary point of the phase, from a width of
-half a cycle there, doubling outward, so bisection rarely has to find
-the stationary points one round at a time.
+supp psi, whose cost does not grow with the frequency, which falls back
+to Clenshaw-Curtis on panels of less than one turn and which reads its
+error estimate from Chebyshev tails.  Its panels start graded toward each
+stationary point of the phase, from a width of half a cycle there,
+doubling outward, so bisection rarely finds them one round at a time.
 
 oscillatory_quadrature is the one slow reference that core is tested
 against: composite 20-point Gauss-Legendre on equal panels, about one per
@@ -198,9 +198,10 @@ def _oscillating_factor(phase, t):
     return out
 
 
-def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The points cos(pi k / n), k = 0..n (n even), their differentiation
-    matrix and their Clenshaw-Curtis weights on [-1, 1]."""
+    matrix, Clenshaw-Curtis weights on [-1, 1], and the rows that take
+    values there to the coefficients of T_(n-2), T_(n-1), T_n."""
     theta = np.pi * np.arange(n + 1) / n
     x = np.cos(theta)
     c = np.ones(n + 1)
@@ -214,17 +215,14 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v -= np.cos(n * theta[1:-1]) / (n * n - 1)
     weights = np.concatenate([[1.0 / (n * n - 1)], 2.0 * v / n,
                               [1.0 / (n * n - 1)]])
-    return x, diff, weights
+    # a cosine transform, halved at both ends, and for T_n
+    tail = (2.0 / n) * np.cos(np.arange(n - 2, n + 1)[:, None] * theta) / abs(c)
+    tail[-1] *= 0.5
+    return x, diff, weights, tail
 
 
-# 17 Chebyshev points per panel, index 0 at the right end.  The
-# even-indexed 9 form the nested rule; the gap between the 17-point and
-# the 9-point results is the error estimate.  Each rule is
-# (differentiation matrix, complex as the collocation systems take it;
-# Clenshaw-Curtis weights; stride into the 17).
-_CHEB_X, _D17, _W17 = _chebyshev(16)
-_NESTED_RULES = tuple((diff.astype(complex), wts, step) for diff, wts, step
-                      in ((_D17, _W17, 1), (*_chebyshev(8)[1:], 2)))
+# 17 Chebyshev points per panel, index 0 at the right end
+_CHEB_X, _D17, _W17, _CHEB_TAIL = _chebyshev(16)
 _LEVIN_CHUNK = 1 << 10
 # A panel on which the phase turns through fewer cycles than this is
 # integrated by Clenshaw-Curtis on the same points: the 17 points resolve
@@ -243,11 +241,11 @@ _EQUAL_PANEL_CYCLES = 300.0
 def _equal_panels(tol: float) -> int:
     """Equal panels per half of supp psi below _EQUAL_PANEL_CYCLES.
 
-    16 down to tol = 1e-8; below, the error of the nested 9-point rule,
-    which limits the estimate, falls like width^10, so the count grows
-    like tol^(-1/10) (41 at 1e-12), and the first batch mostly meets tol.
-    A tol below 1e-16, or <= 0, cannot be met any better than 1e-16 and
-    starts as 1e-16 does.
+    16 down to tol = 1e-8, then growing like tol^(-1/10) (41 at 1e-12),
+    as sized for the gap to a nested 9-point rule, an earlier estimate;
+    from 16 per half, a third of the major-box H_j calls at tol 1e-12
+    still take a second batch.  A tol below 1e-16, or <= 0, cannot be met
+    any better than 1e-16 and starts as 1e-16 does.
     """
     return max(16, math.ceil(16.0 * (1e-8 / max(tol, 1e-16)) ** 0.1))
 
@@ -303,13 +301,14 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, lo: np.ndarray,
     """Levin integrals and error estimates over each [lo_i, hi_i], as
     (rows, panels) arrays for the rows of the amplitude stack.
 
-    On each panel, collocation at the Chebyshev points solves
+    On each panel, collocation at the 17 Chebyshev points solves
     p' + 2 pi i phase' p = a for every amplitude of the stack at once;
     then int e(phase) a = p(hi) e(phase(hi)) - p(lo) e(phase(lo)).  Any
     solution gives the same value, since the homogeneous ones are
     multiples of e(-phase).  Panels of less than _LEVIN_MIN_TURNS cycles
-    use Clenshaw-Curtis instead.  The error estimate is the raw gap
-    between the 17-point and the nested 9-point results.
+    use Clenshaw-Curtis instead.  The error estimate is 4 max |c_14..c_16|,
+    the top Chebyshev coefficients of what the panel integrates: p, or
+    the half-width times a e(phase) on a Clenshaw-Curtis panel.
     """
     n = len(lo)
     res, err = [], []
@@ -321,30 +320,31 @@ def _levin_batch(phase: _PolynomialPhase, amplitude, lo: np.ndarray,
         dphi = phase.derivative(t)
         slow = 2.0 * np.abs(half) * np.abs(dphi).max(axis=1) < _LEVIN_MIN_TURNS
         fast = ~slow
-        both = np.empty((2,) + amp.shape[:2], dtype=complex)
+        val = np.empty(amp.shape[:2], dtype=complex)
+        # the values whose Chebyshev tail is the estimate
+        series = np.empty(amp.shape, dtype=complex)
         if slow.any():
             f = amp[:, slow] * _oscillating_factor(phase, t[slow])
-            for out, (_, wts, step) in zip(both, _NESTED_RULES):
-                # an elementwise product and a sum along the panel's
-                # points, not a matmul, so each panel's value does not
-                # depend on how many panels share the batch
-                out[:, slow] = (f[..., ::step] * wts).sum(axis=-1) * half[slow]
+            val[:, slow] = (f * _W17).sum(axis=-1) * half[slow]
+            series[:, slow] = f * np.abs(half[slow])[:, None]
         if fast.any():
             h = half[fast]
-            rhs = amp[:, fast].transpose(1, 2, 0) * h[:, None, None]
-            w = (2j * np.pi) * h[:, None] * dphi[fast]
+            mat = np.empty((len(h), 17, 17), dtype=complex)
+            mat[:] = _D17
+            # the diagonals, through a strided view
+            mat.reshape(len(h), 17 * 17)[:, ::18] += (
+                (2j * np.pi) * h[:, None] * dphi[fast])
+            p = np.linalg.solve(
+                mat, amp[:, fast].transpose(1, 2, 0) * h[:, None, None])
             e_hi, e_lo = _oscillating_factor(
                 phase, np.stack([hi[sl][fast], lo[sl][fast]]))[..., None]
-            for out, (diff, _, step) in zip(both, _NESTED_RULES):
-                k = len(diff)
-                mat = np.empty((len(h), k, k), dtype=complex)
-                mat[:] = diff
-                # the diagonals, through a strided view
-                mat.reshape(len(h), k * k)[:, ::k + 1] += w[:, ::step]
-                p = np.linalg.solve(mat, rhs[:, ::step])
-                out[:, fast] = (p[:, 0] * e_hi - p[:, -1] * e_lo).T
-        res.append(both[0])
-        err.append(np.abs(both[0] - both[1]))
+            val[:, fast] = (p[:, 0] * e_hi - p[:, -1] * e_lo).T
+            series[:, fast] = p.transpose(2, 0, 1)
+        res.append(val)
+        # products summed along the points, not matmuls: no panel's value or
+        # estimate may depend on which panels share its chunk
+        err.append(4.0 * np.abs(
+            (series[..., None, :] * _CHEB_TAIL).sum(axis=-1)).max(axis=-1))
     return np.concatenate(res, axis=1), np.concatenate(err, axis=1)
 
 
@@ -381,6 +381,8 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
     A QuadratureError carries factor times the estimate over all of supp
     psi, so it estimates the value a successful call would return.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     # psi's smoothstep pieces meet at +-1
     cuts = [-1.0, 1.0, *phase.critical_points, *breakpoints]
     # graded cuts r +- h 2^k at each critical point r: the mesh that

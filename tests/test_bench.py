@@ -1,6 +1,7 @@
 """Tests for the experiment harness and CLI."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -68,10 +69,18 @@ class TestConfig:
                      id="bool-in-int-list"),
         pytest.param("carleson", {"input": 5}, id="int-as-str"),
         pytest.param("hua-fit", {"q_max": "60"}, id="str-as-int"),
+        pytest.param("stationary-phase", {"seed": 0, "tol": "nan"},
+                     id="nan-str-as-float"),
+        pytest.param("stationary-phase", {"seed": 0, "tol": math.nan},
+                     id="nan-as-float"),
+        pytest.param("variation", {"r_list": [2.0, "nan"]},
+                     id="nan-in-float-list"),
     ])
     def test_wrong_scalar_type_rejected(self, name, params):
         # Python would convert each of these: True to 1, False to 0.0, 5 to
-        # "5"; a config that says so is a mistake, not a value
+        # "5", "nan" to a float that is no number (a NaN tol ran to a nan
+        # threshold and a fail); a config that says so is a mistake, not a
+        # value.  inf is a float: variation's r_list default holds it
         with pytest.raises(ValueError, match="is not a valid"):
             ExperimentConfig(name, params).validate()
 

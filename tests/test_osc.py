@@ -10,6 +10,7 @@ from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
                          PhaseContext, QuadratureError, _PolynomialPhase,
                          oscillatory_quadrature, psi_j, stationary_phase_split)
 from modhilb.spectral import Signal, square_function_S_G
+from oracles import exact_phase_quadrature
 
 
 GRID = np.linspace(-20.0, 20.0, 1001)
@@ -477,6 +478,102 @@ class TestBelowCrossover:
         assert H_j(x, 0.0, j, d, tol=tol) == 0j
 
 
+@pytest.fixture
+def summed_estimate(monkeypatch):
+    """The Levin error estimates of each row, summed over the panels that
+    the last quadrature call ended with.  Bisection replaces a panel by
+    two, the first starting where it started, so the panels keyed by
+    their start are the final ones."""
+    panels = {}
+    levin_batch, bisect = osc._levin_batch, osc._bisect_to_tolerance
+
+    def fresh(*args):
+        panels.clear()
+        return bisect(*args)
+
+    def recorded(phase, amplitude, lo, hi):
+        vals, err = levin_batch(phase, amplitude, lo, hi)
+        panels.update(zip(lo, err.T))
+        return vals, err
+
+    monkeypatch.setattr(osc, "_bisect_to_tolerance", fresh)
+    monkeypatch.setattr(osc, "_levin_batch", recorded)
+    return lambda: np.sum(list(panels.values()), axis=0)
+
+
+def _assert_estimates_bound_errors(values, estimates, phase, amplitude,
+                                   breakpoints=()):
+    """Each estimate is at least the error of its value, less a round-off
+    floor of 4 eps int |amplitude|.  The exact values come from the
+    reference rule with the phase in double-double: in plain floats the
+    rule's own round-off reaches 5e-14 at l = 14, above one row's 2e-14
+    estimate there."""
+    cuts = [-1.0, 1.0, *breakpoints]
+    pieces = [sorted({a, b, *(c for c in cuts if a < c < b)})
+              for a, b in ((-2.0, -0.5), (0.5, 2.0))]
+    exact = sum(exact_phase_quadrature(phase, amplitude, s) for s in pieces)
+    mass = sum(exact_phase_quadrature(ZERO, lambda t: np.abs(amplitude(t)), s)
+               for s in pieces).real
+    floor = 4.0 * np.finfo(float).eps * mass
+    assert np.all(estimates >= np.abs(np.asarray(values) - exact) - floor)
+
+
+# the symbol points of TestLevinAgainstGaussKronrod as (d, k, l,
+# lam 2^(dk-l), xi 2^(k-l)), and the symbol at l = 14, beyond the highest
+# of them
+GUARD_SYMBOL_POINTS = (
+    [(d, 40, l, 1.37, sign * 1.9) for d in (2, 3) for l in (6, 10, 14)
+     for sign in (1.0, -1.0)]
+    + [(2, 40, 12, 1.61, -2.3), (2, 12, 4, 1.4, -1.3), (2, 12, 4, 1.4, 0.7),
+       (3, 8, 3, 1.4, -1.2)]
+    + [(2, 40, 7, 1.2, -2.4 * r) for r in (0.51, -0.51, 0.49)])
+
+
+@pytest.mark.parametrize("d, k, l, lam, xi", GUARD_SYMBOL_POINTS)
+def test_estimate_bounds_the_symbol_error(d, k, l, lam, xi, summed_estimate):
+    ctx = PhaseContext(d, k, l, math.ldexp(lam, l - d * k))
+    xi = math.ldexp(xi, l - k)
+    fam = BumpFamily(d=d)
+    zf = fam.zeta(math.ldexp(xi, k - l))
+    phase = osc._g_phase(ctx, xi)
+    roots = phase.critical_points
+    # the rows of G_hat_direct, then of the split, as it stacks them
+    values = [G_hat_direct(xi, ctx, fam, 1e-10)]
+    estimates = [summed_estimate()[0]]
+    values += stationary_phase_split(xi, ctx, fam, 1e-10)[:1 + len(roots)]
+    estimates += list(summed_estimate())
+
+    def amplitude(t):
+        windows = [fam.xi0(t - r) for r in roots]
+        return fam.psi(t) * np.stack(
+            [np.ones_like(t), 1.0 - sum(windows, np.zeros_like(t)), *windows])
+
+    joints = [r + u / (8.0 * d) for r in roots for u in (-2.0, -1.0, 1.0, 2.0)]
+    _assert_estimates_bound_errors(np.array(values) / zf,
+                                   np.array(estimates), phase, amplitude,
+                                   joints)
+
+
+# the H_j points of TestLevinAgainstGaussKronrod and TestBelowCrossover as
+# (X, Y, d, smoothness order, tol), at j = 10
+GUARD_H_J_POINTS = (
+    [(350.0, -2.0 * 350.0 * 1.3, 2, 4, 1e-10),
+     (350.0, -3.0 * 350.0 * 1.21, 3, 4, 1e-10), (1.1 * 2.0 ** 8, 0.0, 3, 4, 1e-10)]
+    + [(X, Y, d, order, 1e-12) for order in (2, 4) for d in (2, 3)
+       for X, Y in [(0.0, 3.0), (5.0, -7.0), (12.0, 11.0), (-15.0, 2.5),
+                    (3.0, 0.0), (9.0, -30.0)]])
+
+
+@pytest.mark.parametrize("X, Y, d, order, tol", GUARD_H_J_POINTS)
+def test_estimate_bounds_the_h_j_error(X, Y, d, order, tol, summed_estimate):
+    j = 10
+    fam = BumpFamily(d=d, smoothness_order=order)
+    value = H_j(math.ldexp(X, -d * j), math.ldexp(Y, -j), j, d, fam, tol)
+    _assert_estimates_bound_errors([value], summed_estimate(),
+                                   _PolynomialPhase(X, Y, d),
+                                   lambda t: fam.psi(t)[None])
+
+
 @pytest.mark.parametrize("l", [4, 10], ids=["few-cycles", "many-cycles"])
 def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
     # one production core: the reference quadrature (Gauss-Kronrod once,
@@ -496,11 +593,9 @@ def test_symbol_integrals_never_reach_gauss_kronrod(l, monkeypatch):
     stationary_phase_split(xi, ctx)
 
 
-@pytest.mark.parametrize("d, r", [(2, 0.68), (3, 0.67)])
-def test_graded_cuts_save_the_bisection_rounds(d, r, monkeypatch):
-    # a critical point inside supp psi at 2^13 cycles' scale: the graded
-    # cuts around it start the Levin core on the mesh that bisection
-    # toward it reaches one batch per round, in 7 batches without them
+@pytest.fixture
+def levin_batches(monkeypatch):
+    """The arguments of every Levin batch run from here on."""
     batches = []
     levin_batch = osc._levin_batch
 
@@ -509,12 +604,20 @@ def test_graded_cuts_save_the_bisection_rounds(d, r, monkeypatch):
         return levin_batch(*args)
 
     monkeypatch.setattr(osc, "_levin_batch", counted)
+    return batches
+
+
+@pytest.mark.parametrize("d, r", [(2, 0.68), (3, 0.67)])
+def test_graded_cuts_save_the_bisection_rounds(d, r, levin_batches):
+    # a critical point inside supp psi at 2^13 cycles' scale: the graded
+    # cuts around it start the Levin core on the mesh that bisection
+    # toward it reaches one batch per round, in 7 batches without them
     k, l = 40, 13
     ctx = PhaseContext(d, k, l, 1.37 * math.ldexp(1.0, l - d * k))
     xi = -d * ctx.lam * math.ldexp(r ** (d - 1), k * (d - 1))
     assert abs(osc._g_phase(ctx, xi).critical_points[0] - r) < 1e-12
     G_hat_direct(xi, ctx, tol=1e-8)
-    assert len(batches) <= 2
+    assert len(levin_batches) <= 2
 
 
 def test_levin_chunks_change_no_value(monkeypatch):
@@ -570,22 +673,33 @@ def test_levin_values_do_not_depend_on_the_batch(chunk, default_chunk_values,
 
 
 @pytest.mark.parametrize("o_lam, o_beta", [(0.5, 0.5), (-0.3, 0.9), (0.9, 0.1)])
-def test_major_box_h_j_converges_in_one_batch(o_lam, o_beta, monkeypatch):
+def test_major_box_h_j_converges_in_one_batch(o_lam, o_beta, levin_batches):
     # a major-box point of the circle method (j = 11, C^2, tol 1e-12): its
     # equal panels, more of them at a tighter tol, meet tol in the first
     # batch, where 16 of them needed 2 or 3
-    batches = []
-    levin_batch = osc._levin_batch
-
-    def counted(*args):
-        batches.append(args)
-        return levin_batch(*args)
-
-    monkeypatch.setattr(osc, "_levin_batch", counted)
     j, eps = 11, 0.1
     H_j(o_lam * 2.0 ** ((eps - 2) * j), o_beta * 2.0 ** ((eps - 1) * j), j, 2,
         BumpFamily(d=2, smoothness_order=2), tol=1e-12)
-    assert len(batches) == 1
+    assert len(levin_batches) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("l", [9, 11, 13])
+def test_stationary_phase_symbols_converge_in_one_batch(l, d, levin_batches):
+    # points of the stationary-phase workload (k = 40, tol 1e-8, lam
+    # uniform in its slab, |xi| 2^(k-l) uniform in [1/4, 4], both signs):
+    # an estimate of the error of the value returned accepts the first
+    # batch, where one that overstates it bisects panels that are done
+    k, tol = 40, 1e-8
+    fam = BumpFamily(d=d)
+    rng = np.random.Generator(np.random.Philox(l * d))
+    for u_lam, u_xi, sign in zip(rng.random(4), rng.random(4), (1, -1) * 2):
+        ctx = PhaseContext(d, k, l, math.ldexp(1.0 + u_lam, l - d * k))
+        xi = sign * math.ldexp(0.25 + 3.75 * u_xi, l - k)
+        for symbol in (G_hat_direct, stationary_phase_split):
+            levin_batches.clear()
+            symbol(xi, ctx, fam, tol)
+            assert len(levin_batches) == 1, symbol.__name__
 
 
 def test_equal_panel_count():
@@ -615,6 +729,21 @@ class TestBudgetEstimates:
         with pytest.raises(QuadratureError) as exc:
             G_hat_direct(xi, ctx, tol=0.0, panel_budget=1000)
         assert abs(exc.value.estimate[0] - ref) < 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    # NaN reached math.ceil in _equal_panels, -1 spent the whole panel
+    # budget and inf accepted the first batch; tol = 0 stays legal
+    # (TestBudgetEstimates)
+    ctx = PhaseContext(2, 40, 9, 1.37 * math.ldexp(1.0, 9 - 80))
+    xi = -1.9 * math.ldexp(1.0, 9 - 40)
+    for call in (lambda: H_j(0.3 * 2 ** -16, 0.1 * 2 ** -8, 8, 2, tol=tol),
+                 lambda: G_hat_direct(xi, ctx, tol=tol),
+                 lambda: stationary_phase_split(xi, ctx, tol=tol)):
+        with pytest.raises(ValueError, match="tol"):
+            call()
+
 
 class TestPhaseVariation:
     @pytest.mark.parametrize("X, Y, d", [
