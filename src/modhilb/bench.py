@@ -169,6 +169,9 @@ def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
 def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
     # slope of log max |S| against log q, max per q over admissible (a, b)
     _need(q_max >= 8, "q_max >= 8")
+    # -0.4 judges Hua's q^(-1/2) at d = 2; Hua's q^(-1/d) fits -0.344 at
+    # d = 3 and -0.315 at d = 4 for q <= 200, and would fail it
+    _need(d == 2, "d = 2: the -0.4 threshold is Hua's bound at d = 2 only")
     # the row a = 1 is all admissible and by Parseval its |S|^2 sum to 1,
     # so every max is positive and has a logarithm
     maxima = []

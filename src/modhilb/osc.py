@@ -21,8 +21,12 @@ doubling outward, so bisection rarely finds them one round at a time.
 oscillatory_quadrature is the one slow reference that core is tested
 against: composite 20-point Gauss-Legendre on equal panels, about one per
 cycle of the exact phase variation, with no tolerance or budget to tune.
-No production path calls it.  It lives here rather than among the tests
-because the benchmark's tracer wraps it by name on this module.
+Its nodes and phase are carried in double-double (Dekker's product,
+Knuth's two-sum), so its own round-off stays near eps at any frequency,
+and it takes 4096 panels per pass, so its memory does not grow with the
+frequency.  No production path calls it.  It lives here rather than
+among the tests because the benchmark's tracer wraps it by name on this
+module.
 """
 
 from __future__ import annotations
@@ -417,31 +421,74 @@ def _psi_support_quadrature(phase: _PolynomialPhase, fam: BumpFamily,
 # ---------------------------------------------------------------------------
 # the slow reference
 
+def _two_sum(a, b):
+    """a + b as s + e exactly (Knuth's two-sum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """a b as p + e exactly (Dekker's product, from 26-bit halves)."""
+    def split(u):
+        c = 134217729.0 * u
+        hi = c - (c - u)
+        return hi, u - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def oscillatory_quadrature(phase: _PolynomialPhase, amplitude: Callable,
                            support: Sequence[float]) -> complex:
     """int e(phase(t)) amplitude(t) dt over [a, b] by composite 20-point
-    Gauss-Legendre.
+    Gauss-Legendre, with its nodes and its phase in double-double.
 
     support is (a, c_1, ..., b), sorted, with the amplitude smooth between
     consecutive points.  Each piece [u, v] is cut into
     ceil(phase.variation(u, v)) + 4 equal panels, about one per cycle of
-    the phase, where 20 nodes resolve e(phase) far below 1e-13.  The
-    amplitude must accept numpy arrays.  It has no tolerance and no
+    the phase, where 20 nodes resolve e(phase) far below 1e-15.  In
+    plain floats a node t would be off by up to eps |t| and phase(t) by
+    eps |phase(t)|, an error of eps times the phase in e(phase(t)).  So
+    each panel is [lo, lo + 2 half] with half exact (its edges are within
+    a factor 2 of each other), each node lo + half + half x is a
+    double-double, and X t^d + Y t is reduced mod 1 before it is
+    rounded; e(phase) is then exact to about eps at any frequency.  The
+    amplitude is taken at the rounded node, an error of eps |amplitude'|.
+    It must accept numpy arrays; one that returns a stack of rows gives
+    one integral per row.  Panels are taken 4096 at a time, so memory
+    does not grow with the frequency.  It has no tolerance and no
     adaptivity, and no production path calls it: it is the slow
     reference that the Levin core behind the symbol integrals is tested
     against.
     """
     # built per call: numpy.polynomial is imported only when the reference runs
     x, w = np.polynomial.legendre.leggauss(20)
+    chunk = 1 << 12
     total = 0j
     for u, v in zip(support[:-1], support[1:]):
         n = math.ceil(phase.variation(u, v)) + 4
         edges = np.linspace(u, v, n + 1)
-        half = 0.5 * (v - u) / n
-        t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x
-        vals = _oscillating_factor(phase, t) * amplitude(t)
-        total += half * (vals @ w).sum()
-    return complex(total)
+        for k in range(0, n, chunk):
+            lo = edges[:-1][k:k + chunk, None]
+            half = 0.5 * (edges[1:][k:k + chunk, None] - lo)
+            mid, mid_e = _two_sum(lo, half)
+            off, off_e = _two_prod(half, x)
+            t, t_e = _two_sum(mid, off)
+            t_e += mid_e + off_e
+            # t^d as p + p_e, then X t^d + Y t as two exact products and
+            # the low-order terms, the first order in t_e among them
+            p, p_e = t, 0.0
+            for _ in range(phase.d - 1):
+                p, e = _two_prod(p, t)
+                p_e = e + p_e * t
+            a, a_e = _two_prod(phase.X, p)
+            b, b_e = _two_prod(phase.Y, t)
+            low = a_e + b_e + phase.X * p_e - phase.derivative(t) * t_e
+            frac = (a - np.round(a)) + (b - np.round(b)) + low
+            vals = np.exp(-2j * np.pi * frac) * amplitude(t)
+            total = total + (vals @ w) @ half[:, 0]
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 # ---------------------------------------------------------------------------

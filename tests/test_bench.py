@@ -104,6 +104,8 @@ class TestConfig:
         # ranges that would check nothing and report a pass
         pytest.param("weyl-scan", {"q_max": 1}, id="weyl-scan-q1"),
         pytest.param("weyl-scan", {"d_list": []}, id="weyl-scan-no-d"),
+        # hua-fit's -0.4 threshold is Hua's bound at d = 2 only
+        pytest.param("hua-fit", {"q_max": 40, "d": 3}, id="hua-fit-d3"),
         pytest.param("kernel-identity", {"q_max": 0},
                      id="kernel-identity-q0"),
         pytest.param("kernel-identity", {"d_list": []},

@@ -1,6 +1,7 @@
 """Tests for bump families and oscillatory quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from modhilb.osc import (DEFAULT_BUMPS, BumpFamily, G_hat_direct, H_j,
                          PhaseContext, QuadratureError, _PolynomialPhase,
                          oscillatory_quadrature, psi_j, stationary_phase_split)
 from modhilb.spectral import Signal, square_function_S_G
-from oracles import exact_phase_quadrature
 
 
 GRID = np.linspace(-20.0, 20.0, 1001)
@@ -151,17 +151,33 @@ class TestOscillatoryQuadrature:
         val = oscillatory_quadrature(LINEAR, fam.eta, (-2.0, -1.0, 1.0, 2.0))
         assert val == pytest.approx(oracle, abs=1e-8)
 
-    @pytest.mark.parametrize("Y", [1000.3, -1000.3, 37.7])
+    @pytest.mark.parametrize("Y", [1000.3, -1000.3, 37.7, 2.0 ** 14 + 0.3,
+                                   -(2.0 ** 14 + 0.3)])
     def test_linear_phase_closed_form_at_many_cycles(self, Y):
         # int_{1/2}^2 e(Y t) dt = (e(2Y) - e(Y/2)) / (2 pi i Y), over
-        # 1500 cycles at |Y| = 1000.3
+        # 1500 cycles at |Y| = 1000.3 and 24576 at 2^14 + 0.3; 2Y and Y/2
+        # are exact, and so is their reduction mod 1, so the closed form
+        # is good to about eps at any Y, and the bound is the rule's own
+        # round-off, which a float phase exceeds there
         def e(x):
-            return np.exp(2j * np.pi * x)
+            return np.exp(2j * np.pi * (x - round(x)))
 
         exact = (e(2.0 * Y) - e(0.5 * Y)) / (2j * np.pi * Y)
         val = oscillatory_quadrature(_PolynomialPhase(0.0, -Y, 2), np.ones_like,
                                      (0.5, 2.0))
-        assert abs(val - exact) <= 1e-13
+        assert abs(val - exact) <= 1e-15
+
+    def test_memory_does_not_grow_with_the_frequency(self):
+        # some 3.3e4 cycles; the rule takes its panels 4096 at a time,
+        # where all of them at once would take some 36 MB
+        phase = _PolynomialPhase(1.37 * 2.0 ** 12, -1.9 * 2.0 ** 12, 3)
+        tracemalloc.start()
+        try:
+            oscillatory_quadrature(phase, DEFAULT_BUMPS.psi, (0.5, 1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     def test_empty_interval(self):
         assert oscillatory_quadrature(LINEAR, lambda t: t, (1.0, 1.0)) == 0j
@@ -372,8 +388,9 @@ def _psi_oracle(phase, fam=DEFAULT_BUMPS, weight=None, breakpoints=()):
 
 class TestLevinAgainstGaussKronrod:
     """The symbol integrals against oscillatory_quadrature, the one
-    reference (the class keeps the name of the Gauss-Kronrod rule that the
-    composite Gauss-Legendre one replaced, so its tests keep their ids)."""
+    reference: composite Gauss-Legendre with its nodes and phase in
+    double-double (the class keeps the name of the Gauss-Kronrod rule
+    that it replaced, so its tests keep their ids)."""
 
     TOL = 1e-10
 
@@ -504,15 +521,16 @@ def summed_estimate(monkeypatch):
 def _assert_estimates_bound_errors(values, estimates, phase, amplitude,
                                    breakpoints=()):
     """Each estimate is at least the error of its value, less a round-off
-    floor of 4 eps int |amplitude|.  The exact values come from the
-    reference rule with the phase in double-double: in plain floats the
-    rule's own round-off reaches 5e-14 at l = 14, above one row's 2e-14
-    estimate there."""
+    floor of 4 eps int |amplitude|.  The exact values come from
+    oscillatory_quadrature, one per row of the amplitude stack; its phase
+    in double-double keeps its own round-off near eps, where a float
+    phase would reach 5e-14 at l = 14, above one row's 2e-14 estimate
+    there."""
     cuts = [-1.0, 1.0, *breakpoints]
     pieces = [sorted({a, b, *(c for c in cuts if a < c < b)})
               for a, b in ((-2.0, -0.5), (0.5, 2.0))]
-    exact = sum(exact_phase_quadrature(phase, amplitude, s) for s in pieces)
-    mass = sum(exact_phase_quadrature(ZERO, lambda t: np.abs(amplitude(t)), s)
+    exact = sum(oscillatory_quadrature(phase, amplitude, s) for s in pieces)
+    mass = sum(oscillatory_quadrature(ZERO, lambda t: np.abs(amplitude(t)), s)
                for s in pieces).real
     floor = 4.0 * np.finfo(float).eps * mass
     assert np.all(estimates >= np.abs(np.asarray(values) - exact) - floor)
