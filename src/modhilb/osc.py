@@ -21,10 +21,8 @@ doubling outward, so bisection rarely finds them one round at a time.
 oscillatory_quadrature is the one slow reference that core is tested
 against: composite 20-point Gauss-Legendre on equal panels, about one per
 cycle of the exact phase variation, with no tolerance or budget to tune.
-Its nodes and phase are carried in double-double (Dekker's product,
-Knuth's two-sum), so its own round-off stays near eps at any frequency,
-and it takes 4096 panels per pass, so its memory does not grow with the
-frequency.  No production path calls it.  It lives here rather than
+Its nodes and phase are in double-double and its panels are taken in
+bounded passes.  No production path calls it.  It lives here rather than
 among the tests because the benchmark's tracer wraps it by name on this
 module.
 """
