@@ -96,12 +96,24 @@ def complete_weyl_sum(t: WeylTriple) -> complex:
     return complex(_complete_sum_row(t.a, t.q, t.d)[t.b])
 
 
+_TABLE_ROWS = 64  # rows of _admissible_table built at once
+
+
 def _admissible_table(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """|S(a/q, b/q)| for a, b = 0..q-1, uncached, and the mask of admissible
-    (a, b), gcd(a, b, q) = 1; for q >= 2 b = 1 is admissible in every row."""
+    (a, b), gcd(a, b, q) = 1; for q >= 2 b = 1 is admissible in every row.
+
+    Built _TABLE_ROWS rows at a time, so the complex rows and the gcds in
+    flight stay O(q), not O(q^2)."""
     a = np.arange(q)
-    admissible = np.gcd.outer(np.gcd(a, q), a) == 1
-    return np.abs(_fresh_row(a, q, d)), admissible
+    g = np.gcd(a, q)
+    table = np.empty((q, q))
+    admissible = np.empty((q, q), dtype=bool)
+    for lo in range(0, q, _TABLE_ROWS):
+        rows = slice(lo, lo + _TABLE_ROWS)
+        np.abs(_fresh_row(a[rows], q, d), out=table[rows])
+        np.equal(np.gcd.outer(g[rows], a), 1, out=admissible[rows])
+    return table, admissible
 
 
 def weyl_kernel_identity(a: int, q: int, d: int, x: int) -> tuple[complex, complex]:

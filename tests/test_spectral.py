@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from modhilb.bench import _exp_ttstar
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
-from modhilb.spectral import (LambdaGrid, Signal, _block_taps, _e_neg,
-                              _modulated_outputs, _partition_taps, _phase,
-                              _sharp_taps, _symbol, _tap_table,
+from modhilb.spectral import (_BLOCK_MIN_TAPS, LambdaGrid, Signal,
+                              _block_symbol, _block_taps, _block_words,
+                              _e_neg, _modulated_outputs, _partition_taps,
+                              _phase, _sharp_taps, _symbol, _tap_table,
                               apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
@@ -281,36 +282,70 @@ def _full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
     return total
 
 
+# lam = 0.7 2^-40 has bits below 2^-64, which _reduce carries apart; the
+# last point lies in the major box around (1/3, 2/3) at j = 13
 _LAM_BETA = [(0.7310585786300049, 0.1), (0.123456789, 0.6180339887498949),
-             (0.5 + 2.0 ** -20, 1.0 / 3.0), (0.0, 0.37)]
+             (0.5 + 2.0 ** -20, 1.0 / 3.0), (0.0, 0.37), (0.7 * 2.0 ** -40, 0.29),
+             (1.0 / 3.0 + 1.3 * 2.0 ** -26, 2.0 / 3.0 - 0.7 * 2.0 ** -13)]
 
 
 class TestHalfTapSymbol:
-    """The symbols sum the positive taps only; the references every tap."""
+    """The symbols sum the positive taps only; the references every tap.
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("j", [3, 8])
+    At d = 2 a table of _BLOCK_MIN_TAPS taps or more is summed in blocks:
+    block j = 13 and partition J = 11 are.
+    """
+
+    @pytest.mark.parametrize("j, d", [(3, 2), (3, 3), (8, 2), (8, 3), (13, 2)])
     @pytest.mark.parametrize("lam, beta", _LAM_BETA)
     def test_mj_matches_full_table(self, lam, beta, j, d):
         fam = BumpFamily(d=d)
-        m = [s * n for s in (-1, 1) for n in range(2 ** (j - 1), 2 ** (j + 1) + 1)]
-        w = [psi_j(float(mi), j, fam) for mi in m]
-        want = _full_table_sum(lam, beta, m, w, d)
+        n = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1)
+        m = np.concatenate([-n[::-1], n])
+        w = psi_j(m.astype(float), j, fam)
+        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
         assert abs(multiplier_Mj(lam, beta, j, d, fam) - want) <= 1e-13
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("J, d", [(6, 2), (6, 3), (11, 2)],
+                             ids=["2", "3", "J11-2"])
     @pytest.mark.parametrize("lam, beta", _LAM_BETA)
-    def test_m_matches_full_table(self, lam, beta, d):
-        J = 6
-        m = [s * n for s in (-1, 1) for n in range(1, 2 ** (J + 1) + 1)]
-        w = [1.0 / mi if abs(mi) == 1 else
-             sum(psi_j(float(mi), j) for j in range(1, J + 1)) for mi in m]
-        want = _full_table_sum(lam, beta, m, w, d)
+    def test_m_matches_full_table(self, lam, beta, J, d):
+        n = np.arange(1, 2 ** (J + 1) + 1)
+        m = np.concatenate([-n[::-1], n])
+        w = sum(psi_j(m.astype(float), j) for j in range(1, J + 1))
+        w[np.abs(m) == 1] = 1.0 / m[np.abs(m) == 1]
+        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
         assert abs(multiplier_M(lam, beta, d, J) - want) <= 1e-13
 
     def test_odd_d_symbol_is_imaginary(self):
         # the pair +-m contributes -2i w(m) sin(2 pi (lam m^3 + beta m))
         assert multiplier_Mj(0.3, 0.7, 6, 3).real == 0.0
+
+    @pytest.mark.parametrize("m0, n", [(1, 1), (1, 512), (7, 513), (1000, 4096),
+                                       (3, 4097), (2 ** 20, 9000)])
+    def test_block_sum_matches_exp_reference(self, m0, n):
+        # a last block of 1..512 taps and a last pass of 1..8 blocks; the
+        # reference takes np.exp of each tap's reduced phase
+        rng = np.random.Generator(np.random.Philox(25))
+        pos = np.arange(m0, m0 + n)
+        w = rng.standard_normal(n) / n
+        m, wm = _every_tap((pos, w))
+        for lam, beta in _LAM_BETA:
+            ph = _phase(lam, m, 2) + _phase(beta, m, 1)
+            want = (wm * np.exp(-2j * np.pi * ph)).sum()
+            assert abs(_block_symbol(lam, beta, (pos, w)) - want) <= 1e-13
+
+    def test_block_path_serves_the_large_tables_only(self):
+        # the oracle cases above reach both sums at d = 2
+        assert len(_block_taps(8)[0]) < _BLOCK_MIN_TAPS <= len(_block_taps(13)[0])
+        assert (len(_partition_taps(6)[0]) < _BLOCK_MIN_TAPS
+                <= len(_partition_taps(11)[0]))
+
+    def test_block_words_beyond_int64_rejected(self):
+        # two whole blocks of 512 taps: the words stay below (m0 + 1024)^2
+        _block_words(_M_MAX[2] - 1024, 1024)
+        with pytest.raises(ValueError):
+            _block_words(_M_MAX[2] + 1 - 1024, 1024)
 
 
 class TestCarleson:
@@ -459,20 +494,23 @@ class TestModulatedOutputs:
 
 def _fresh_tables(fam: BumpFamily) -> dict:
     """The three kinds of tap table built here, as (pos, w), from psi_j
-    and 1/m."""
-    pos = np.arange(2 ** 7, 2 ** 9 + 1)
-    block = (pos, psi_j(pos.astype(float), 8, fam))
+    and 1/m, with block j = 12 for the block sum at d = 2."""
+    tables = {}
+    for kind, j in (("block", 8), ("block-12", 12)):
+        pos = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1)
+        tables[kind] = (pos, psi_j(pos.astype(float), j, fam))
     pos = np.arange(1, 2 ** 7 + 1)
     w = sum(psi_j(pos.astype(float), j, fam) for j in range(1, 7))
     w[0] = 1.0
-    partition = (pos, w)
+    tables["partition"] = (pos, w)
     pos = np.arange(1, 301)
-    return {"block": block, "partition": partition, "sharp": (pos, 1.0 / pos)}
+    tables["sharp"] = (pos, 1.0 / pos)
+    return tables
 
 
 def _cached_tables(fam: BumpFamily) -> dict:
-    return {"block": _block_taps(8, fam), "partition": _partition_taps(6, fam),
-            "sharp": _sharp_taps(300)}
+    return {"block": _block_taps(8, fam), "block-12": _block_taps(12, fam),
+            "partition": _partition_taps(6, fam), "sharp": _sharp_taps(300)}
 
 
 class TestTapTableCache:
@@ -520,23 +558,26 @@ class TestTapTableCache:
         fresh = _fresh_tables(fam)
 
         def run():
-            return ([multiplier_Mj(lam, beta, 8, d, fam) for lam, beta in points]
+            return ([multiplier_Mj(lam, beta, j, d, fam) for j in (8, 12)
+                     for lam, beta in points]
                     + [multiplier_M(lam, beta, d, 6, fam) for lam, beta in points],
                     [carleson_apply(f, grid, d, 6, 512, fam, kernel=k).values
                      for k in ("partition", "sharp")])
 
+        # cold: no tap table and, at d = 2, no block sum's words cached
         _tap_table.cache_clear()
+        _block_words.cache_clear()
         cold = run()
-        assert _tap_table.cache_info().currsize == 3
+        assert _tap_table.cache_info().currsize == 4
+        assert _block_words.cache_info().currsize == (d == 2)
         warm = run()
         assert _tap_table.cache_info().hits > 0
         assert cold[0] == warm[0]
         for a, b in zip(cold[1], warm[1]):
             assert np.array_equal(a, b)
-        assert cold[0] == ([_symbol(lam, beta, fresh["block"], d)
-                            for lam, beta in points]
-                           + [_symbol(lam, beta, fresh["partition"], d)
-                              for lam, beta in points])
+        assert cold[0] == [_symbol(lam, beta, fresh[kind], d)
+                           for kind in ("block", "block-12", "partition")
+                           for lam, beta in points]
 
 
 class TestTTStarKs:
