@@ -8,6 +8,12 @@ operations together, draws any randomness from a counter-based Philox
 generator keyed by the configured seed, and emits a CSV table plus a
 JSON summary whose "params" are the complete resolved config.
 Re-running an identical config reproduces the CSV byte for byte.
+
+Every parameter changes what its experiment reports: a value that
+reaches no row and no summary value is a constant of the body, not an
+option.  test_every_option_moves_a_reported_number in
+tests/test_bench.py runs each option at a second value and checks that
+the rows or the summary move.
 """
 
 from __future__ import annotations
@@ -210,23 +216,16 @@ def _exp_kernel_identity(*, q_max: int = 40, d_list: tuple[int, ...] = (2,)):
     return rows, summary, worst_diff < 1e-10 and worst_mod < 1e-10
 
 
-def _circle_params(d: int, epsilon: float, kappa: float, C: float,
-                   smoothness: int) -> circle.ApproxParams:
-    fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
-    return circle.ApproxParams(d=d, epsilon=epsilon, kappa=kappa,
-                               exponent_C=C, fam=fam)
-
-
 def _exp_major_arc_error(*, seed: int, j_min: int = 8, j_max: int = 14,
-                         d: int = 2, epsilon: float = 0.1, kappa: float = 0.05,
-                         C: float = 2.0, Q_max: int = 3,
+                         d: int = 2, epsilon: float = 0.1, Q_max: int = 3,
                          samples_per_box: int = 6, smoothness: int = 2):
     # the sup over sampled major-box points of |M_j - S H_j(offsets)|; with
     # the C2 family it stays above the double-precision floor at j = 8..13,
     # so its decay is resolved there, while at j = 14 (about 6e-16) it is
     # round-off, about 6 ulp of |M_14| (about 0.88)
     _need(j_max > j_min, "j_max > j_min: two j for a decay step")
-    p = _circle_params(d, epsilon, kappa, C, smoothness)
+    _need(0.0 < epsilon <= 0.1, "epsilon in (0, 1/10]")
+    fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
     j_range = list(range(j_min, j_max + 1))
     sups, clamped, boxes = [], {}, {}
     for j in j_range:
@@ -252,8 +251,8 @@ def _exp_major_arc_error(*, seed: int, j_min: int = 8, j_max: int = 14,
                         # at 1e-10 the sups at j = 8, 9 move by 5e-7 relative
                         dl = circle._exact_offset(lam, A, Q)
                         db = circle._exact_offset(beta, B, Q)
-                        approx = row[B] * osc.H_j(dl, db, j, d, p.fam, 1e-12)
-                        mj = spectral.multiplier_Mj(lam, beta, j, d, p.fam)
+                        approx = row[B] * osc.H_j(dl, db, j, d, fam, 1e-12)
+                        mj = spectral.multiplier_Mj(lam, beta, j, d, fam)
                         sup = max(sup, abs(mj - approx))
         sups.append(sup)
     log_sups = np.log2(np.array(sups))
@@ -266,12 +265,13 @@ def _exp_major_arc_error(*, seed: int, j_min: int = 8, j_max: int = 14,
 
 
 def _exp_ej_decay(*, seed: int, j_min: int = 8, j_max: int = 14, d: int = 2,
-                  epsilon: float = 0.1, kappa: float = 0.05, C: float = 2.0,
-                  samples: int = 40, smoothness: int = 4):
+                  kappa: float = 0.05, C: float = 2.0, samples: int = 40,
+                  smoothness: int = 4):
     # decrease is judged on 3-point moving averages: four j give two
     _need(j_max - j_min >= 3, "j_max >= j_min + 3: four j for two averages")
     _need(samples >= 1, "samples >= 1")
-    p = _circle_params(d, epsilon, kappa, C, smoothness)
+    fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
+    p = circle.ApproxParams(d=d, kappa=kappa, exponent_C=C, fam=fam)
     j_range = list(range(j_min, j_max + 1))
     rng = np.random.Generator(np.random.Philox(seed))
     sups = []
@@ -306,13 +306,13 @@ def _exp_ej_decay(*, seed: int, j_min: int = 8, j_max: int = 14, d: int = 2,
 
 
 def _exp_xj_restricted(*, seed: int, j_lo: int = 6, j_hi: int = 12,
-                       d: int = 2, epsilon: float = 0.1, kappa: float = 0.05,
-                       C: float = 2.0, n_seeds: int = 5, n_lams: int = 256,
-                       N: int = 4096, smoothness: int = 4):
+                       d: int = 2, C: float = 2.0, n_seeds: int = 5,
+                       n_lams: int = 256, N: int = 4096, smoothness: int = 4):
     # X_j at small j covers most of the torus; the grid (n_lams) must be
     # dense enough that some lambdas land outside it
     _need(n_seeds >= 1, "n_seeds >= 1")
-    p = _circle_params(d, epsilon, kappa, C, smoothness)
+    fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
+    p = circle.ApproxParams(d=d, exponent_C=C, fam=fam)
     rows = []
     ok = True
     for t in range(n_seeds):
@@ -357,11 +357,14 @@ def _exp_carleson(*, N: int = 512, J: int = 6, d: int = 2, grid_size: int = 32,
     return rows, summary, passed
 
 
-def _exp_stationary_phase(*, seed: int, d: int = 2, k: int = 40,
-                          tol: float = 1e-8, l_min: int = 8, l_max: int = 14,
-                          n_xi: int = 50):
+def _exp_stationary_phase(*, seed: int, d: int = 2, tol: float = 1e-8,
+                          l_min: int = 8, l_max: int = 14, n_xi: int = 50):
     _need(l_max > l_min, "l_max > l_min: two l for a peak exponent")
     _need(n_xi >= 1, "n_xi >= 1")
+    # k cancels exactly: lam 2^(kd) = 2^l U and xi 2^k = +-u 2^l are exact
+    # power-of-two products, so the phase -2^(-l)(lam 2^(kd) t^d + xi 2^k t),
+    # and every reported number, is the same at any k
+    k = 40
     l_fit = list(range(l_min, l_max + 1))
     rng = make_rng(seed)
     fam = osc.BumpFamily(d=d)

@@ -33,9 +33,12 @@ from .weyl import _complete_sum_row
 class ApproxParams:
     """Constants of the approximation pipeline.
 
-    epsilon controls major-box widths, kappa the double-exponential
-    growth of the chi_s cutoff scale 2^(2^(s d kappa)), exponent_C the
-    polynomial scale bound j^C shared by X_j, Xi_j and the s-range.
+    kappa controls the double-exponential growth of the chi_s cutoff
+    scale 2^(2^(s d kappa)), exponent_C the polynomial scale bound j^C
+    shared by X_j, Xi_j and the s-range.  Nothing in this module reads
+    epsilon, the paper's major-box exponent: it stays, range-checked,
+    because the benchmark constructs ApproxParams with it and sizes its
+    major boxes itself, as the major-arc-error experiment does.
     """
 
     d: int
@@ -52,8 +55,8 @@ class ApproxParams:
             raise ValueError("epsilon must lie in (0, 1/10]")
         if not (0.0 < self.kappa <= 0.25):
             raise ValueError("kappa must lie in (0, 1/4]")
-        if self.exponent_C <= 0:
-            raise ValueError("exponent_C must be positive")
+        if not (0.0 < self.exponent_C < math.inf):
+            raise ValueError("exponent_C must be positive and finite")
 
     def chi_s_scale(self, s: int) -> float:
         """The dilation applied to chi at scale s.

@@ -117,8 +117,12 @@ class XSet:
     width: float = field(init=False)
 
     def __post_init__(self):
-        if self.j < 1 or self.exponent_C <= 0 or self.d < 2:
+        if self.j < 1 or self.d < 2:
             raise ValueError("invalid XSet parameters")
+        if not (0.0 < self.exponent_C < math.inf):
+            raise ValueError("exponent_C must be positive and finite")
+        if not (0.0 < self.prefactor < math.inf):
+            raise ValueError("prefactor must be positive and finite")
         w = dyadic_width(self.j, self.exponent_C, self.d, self.prefactor)
         object.__setattr__(self, "width", w)
 

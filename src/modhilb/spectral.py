@@ -539,7 +539,9 @@ def ttstar_frequency_factor(aq: tuple[int, int], apqp: tuple[int, int],
     c = np.arange(Q)
     r1 = _complete_sum_row(a, q, d)[c * (q // Q)]
     r2 = _complete_sum_row(ap, qp, d)[c * (qp // Q)]
-    return complex((r1 * np.conj(r2) * np.exp(2j * np.pi * c * w / Q)).sum())
+    # w mod Q first: the factor depends on it alone, and c w stays exact
+    return complex((r1 * np.conj(r2)
+                    * np.exp(2j * np.pi * c * (w % Q) / Q)).sum())
 
 
 # ---------------------------------------------------------------------------

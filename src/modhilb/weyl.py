@@ -124,9 +124,9 @@ def weyl_kernel_identity(a: int, q: int, d: int, x: int) -> tuple[complex, compl
     term.  The two agree and |rhs| = 1, for a/q reduced or not.
     """
     row = _complete_sum_row(a, q, d)
-    b_arr = np.arange(q)
-    lhs = complex((row * np.exp(2j * np.pi * b_arr * x / q)).sum())
     r = x % q
+    # b x mod q in integers, so a large |x| loses no phase
+    lhs = complex((row * np.exp(2j * np.pi * (np.arange(q) * r % q) / q)).sum())
     rhs = complex(np.exp(-2j * np.pi * ((a * pow(r, d, q)) % q) / q))
     return lhs, rhs
 

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and CLI."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -84,6 +85,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="is not a valid"):
             ExperimentConfig(name, params).validate()
 
+    def test_infinite_circle_exponent_rejected(self, tmp_path):
+        # 1e400 parses to inf, a valid float; ApproxParams refuses it
+        # before the run reaches int(j ** C)
+        with pytest.raises(ValueError, match="exponent_C"):
+            run(ExperimentConfig("ej-decay", {"seed": 0, "C": 1e400},
+                                 str(tmp_path)))
+
     @pytest.mark.parametrize("name, params", [
         pytest.param("ej-decay", {"seed": 0, "j_min": 8, "j_max": 10},
                      id="ej-decay-3j"),
@@ -98,6 +106,8 @@ class TestConfig:
                      id="ttstar-s1-s2"),
         pytest.param("major-arc-error", {"seed": 0, "j_min": 9, "j_max": 9},
                      id="major-arc-error-1j"),
+        pytest.param("major-arc-error", {"seed": 0, "epsilon": 0.2},
+                     id="major-arc-error-epsilon"),
         pytest.param("stationary-phase", {"seed": 0, "l_min": 8, "l_max": 8},
                      id="stationary-phase-1l"),
         pytest.param("ergodic", {"seed": 0, "J_list": [4]}, id="ergodic-1J"),
@@ -320,3 +330,72 @@ def test_every_experiment_registered():
         "weyl-scan", "hua-fit", "kernel-identity", "major-arc-error",
         "ej-decay", "xj-restricted", "carleson", "stationary-phase",
         "square-function", "ttstar", "ergodic", "variation"}
+
+
+# For each experiment a small base config and, for each of its options,
+# one other legal value chosen where the option takes effect.
+OPTION_CHANGES = {
+    "weyl-scan": ({"q_max": 6}, {"q_max": 7, "d_list": [3]}),
+    # d has one legal value (its -0.4 threshold is Hua's bound at d = 2)
+    "hua-fit": ({"q_max": 12}, {"q_max": 13}),
+    "kernel-identity": ({"q_max": 4}, {"q_max": 5, "d_list": [3]}),
+    # Q_max clamps to int(2^(epsilon j)), which is 1 below j = 10
+    "major-arc-error": ({"seed": 0, "j_min": 10, "j_max": 11,
+                         "samples_per_box": 1},
+                        {"seed": 1, "j_min": 9, "j_max": 12, "d": 3,
+                         "epsilon": 0.05, "Q_max": 1, "samples_per_box": 2,
+                         "smoothness": 3}),
+    "ej-decay": ({"seed": 0, "j_min": 8, "j_max": 11, "samples": 2},
+                 {"seed": 1, "j_min": 7, "j_max": 12, "d": 3, "kappa": 0.1,
+                  "C": 1.5, "samples": 3, "smoothness": 3}),
+    "xj-restricted": ({"seed": 0, "n_seeds": 1, "n_lams": 32, "N": 256,
+                       "j_lo": 6, "j_hi": 8},
+                      {"seed": 1, "j_lo": 5, "j_hi": 9, "d": 3, "C": 1.5,
+                       "n_seeds": 2, "n_lams": 16, "N": 512,
+                       "smoothness": 3}),
+    # the delta input's output is 1/|x| whatever d and the grid
+    "carleson": ({"N": 64, "J": 3, "grid_size": 4, "input": "random"},
+                 {"N": 128, "J": 2, "d": 3, "grid_size": 5,
+                  "input": "delta", "seed": 1}),
+    "stationary-phase": ({"seed": 0, "l_min": 8, "l_max": 9, "n_xi": 1},
+                         {"seed": 1, "d": 3, "tol": 1e-6, "l_min": 7,
+                          "l_max": 10, "n_xi": 2}),
+    "square-function": ({"seed": 0, "k_min": 2, "k_max": 2},
+                        {"seed": 1, "d": 3, "l": 1, "k_min": 1,
+                         "k_max": 3}),
+    "ttstar": ({"seed": 0, "s_list": [3, 4], "n_pairs": 2},
+               {"seed": 1, "s_list": [3, 5], "d": 3, "n_pairs": 3}),
+    # the kernel radius is min(2^(J_mult+1), N/4): J_mult = 3 is below it
+    "ergodic": ({"seed": 0, "N": 256, "J_list": [2, 4], "n_seeds": 1,
+                 "grid_per_interval": 2},
+                {"seed": 1, "N": 512, "d": 3, "J_list": [2, 3],
+                 "n_seeds": 2, "grid_per_interval": 3, "J_mult": 3}),
+    "variation": ({"n_max": 3, "r_list": [1.0, 2.0]},
+                  {"n_max": 4, "r_list": [1.0, 3.0]}),
+}
+
+
+def _outputs(name: str, params: dict):
+    cfg = ExperimentConfig(name, params)
+    rows, summary, _ = EXPERIMENTS[name](**cfg.validate())
+    return rows, summary
+
+
+def test_every_option_moves_a_reported_number():
+    # an option that changes no row and no summary value is a config key
+    # that reaches no number, and the summary's params would overstate
+    # what the run depends on
+    assert set(OPTION_CHANGES) == set(EXPERIMENTS)
+    uncovered, dead = [], []
+    for name, (base, changes) in OPTION_CHANGES.items():
+        options = set(inspect.signature(EXPERIMENTS[name]).parameters)
+        exempt = {"d"} if name == "hua-fit" else set()
+        uncovered += [f"{name} {opt}"
+                      for opt in sorted(options - exempt - set(changes))]
+        reference = _outputs(name, base)
+        for opt, value in changes.items():
+            if _outputs(name, {**base, opt: value}) == reference:
+                dead.append(f"{name} {opt}")
+    assert not uncovered and not dead, (
+        f"options with no changed value: {uncovered}; "
+        f"options that change nothing reported: {dead}")

@@ -34,6 +34,15 @@ class TestApproxParams:
         with pytest.raises(ValueError):
             ApproxParams(d=2, kappa=0.3)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_exponent_C_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="exponent_C"):
+            ApproxParams(d=2, exponent_C=value)
+
+    def test_prefactor_checked_by_xset(self):
+        with pytest.raises(ValueError, match="prefactor"):
+            ApproxParams(d=2, prefactor=0.0).xset(8)
+
     def test_chi_scale_overflow_rejected(self):
         p = ApproxParams(d=2, kappa=0.25)
         with pytest.raises(OverflowError):

@@ -154,6 +154,16 @@ class TestXSet:
             w = XSet(j=j, exponent_C=2.0, d=2).width
             assert math.ldexp(1.0, round(math.log2(w))) == w
 
+    @pytest.mark.parametrize("field, value", [
+        ("exponent_C", 0.0), ("exponent_C", math.inf),
+        ("exponent_C", math.nan), ("prefactor", 0.0), ("prefactor", -1.0),
+        ("prefactor", math.inf), ("prefactor", math.nan)])
+    def test_nonpositive_or_nonfinite_rejected(self, field, value):
+        # an infinite exponent overflowed the width's rounding, and a zero
+        # prefactor failed in log2, neither naming the field
+        with pytest.raises(ValueError, match=field):
+            XSet(**{"j": 8, "exponent_C": 2.0, "d": 2, field: value})
+
     def test_width_is_derived_not_passed(self):
         with pytest.raises(TypeError):
             XSet(j=6, exponent_C=2.0, d=2, width=1.0)

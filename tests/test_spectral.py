@@ -603,6 +603,14 @@ class TestTTStarKs:
         got = ttstar_frequency_factor(aq, apqp, w, d)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("w", [5 + 6 * 10 ** 15, -1, 5 + 6 * 2 ** 70],
+                             ids=["6e15", "minus-1", "6*2^70"])
+    def test_frequency_factor_depends_on_w_mod_Q(self, w):
+        # Q = gcd(12, 18) = 6 and w = 5 mod 6; an unreduced c w lost its
+        # precision past 2^53 and wrapped past 2^63
+        got = ttstar_frequency_factor((1, 12), (5, 18), w, 2)
+        assert got == ttstar_frequency_factor((1, 12), (5, 18), 5, 2)
+
     @pytest.mark.parametrize("bad", [(2, 4), (5, 3), (1, 0)],
                              ids=["2/4", "5/3", "1/0"])
     def test_frequency_factor_rejects_non_torus_pairs(self, bad):

@@ -173,6 +173,17 @@ class TestKernelIdentity:
         lhs, rhs = weyl_kernel_identity(10 ** 15 + 3, 10007, 2, 97)
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("x", [7 + 13 * 10 ** 12, 7 + 13 * 10 ** 15,
+                                   7 - 13 * 10 ** 15, 7 + 13 * 2 ** 70],
+                             ids=["13e12", "13e15", "-13e15", "13*2^70"])
+    def test_large_x(self, x):
+        # both sides depend on x mod q alone; b x / q taken as a float
+        # lost the phase, by 4.2e-3 at x = 7 + 13 10^12
+        assert weyl_kernel_identity(3, 13, 2, x) == weyl_kernel_identity(
+            3, 13, 2, 7)
+        lhs, rhs = weyl_kernel_identity(3, 13, 2, x)
+        assert abs(lhs - rhs) < 1e-12
+
 
 class TestQuadraticClosedForm:
     """For d = 2 and gcd(a, q) = 1, |S(a/q, b/q)| is q^(-1/2) at odd q; at
