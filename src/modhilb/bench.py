@@ -469,6 +469,9 @@ def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
                  grid_per_interval: int = 4, J_mult: int = 10):
     _need(len(set(J_list)) >= 2, "two distinct J for a growth exponent")
     _need(n_seeds >= 1, "n_seeds >= 1")
+    # the first grid point of each interval is its anchor, so one point
+    # compares the anchor with itself and every sum is 0
+    _need(grid_per_interval >= 2, "grid_per_interval >= 2")
     rows = []
     exponents = []
     for t in range(n_seeds):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .farey import XSet, nearest_fraction, xset_contains
 from .osc import DEFAULT_BUMPS, BumpFamily, H_j
-from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_outputs,
+from .spectral import (LambdaGrid, Signal, _block_taps, _modulated_sup,
                        multiplier_Mj)
 # circle calls no transform itself; dft and idft stay importable here
 # because the benchmark's tracer wraps them by name on this module
@@ -207,8 +207,5 @@ def restricted_sup_outside_Xj(f: Signal, j: int, grid: LambdaGrid,
     lams = [lam for lam in grid.points if not xset_contains(lam, xs)]
     if not lams or denom == 0.0:
         return 0.0
-    acc = np.zeros(ring_size)
-    for out in _modulated_outputs(f, lams, _block_taps(j, p.fam), p.d,
-                                  ring_size):
-        np.maximum(acc, np.abs(out), out=acc)
+    acc = _modulated_sup(f, lams, _block_taps(j, p.fam), p.d, ring_size)
     return float(np.linalg.norm(acc) / denom)

@@ -10,6 +10,14 @@ oscillation functionals.
 Fourier convention: the forward transform uses the kernel e(-beta n), so
 dft agrees with the standard FFT sign.  A Signal returned by a ring
 operation has offset 0 and its values indexed by x mod ring_size.
+
+Threads: the maximal operator and the outside-X_j sup take their max
+over lambda through _modulated_sup, which on rings of 2^14 points or
+more splits the lambdas across the CPUs the process may run on, one
+thread each, taking the lambdas one at a time, joined before it
+returns.  The result is bit for bit the same for any CPU count; nothing
+sets the count but the CPU affinity.  The oscillation sums stay in one
+thread.
 """
 
 from __future__ import annotations
@@ -17,8 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -430,22 +440,23 @@ def multiplier_M(lam: float, beta: float, d: int, J: int,
     return _symbol(lam, beta, _partition_taps(J, fam), d)
 
 
-def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
-                       ring_size: int):
+def _modulated_outputs(fhat: np.ndarray, lams: Iterable[float], taps,
+                       d: int):
     """Yield K_lam * f on the ring for each lam, K_lam(m) = w(m) e(-lam m^d).
 
+    fhat is the dft of f embedded on the ring, whose size is len(fhat).
     taps = (pos, w) is the odd kernel's lambda-independent tap table (the
     _*_taps builders), w(m) at m in pos and -w(m) at -m.  Each kernel is
     built in place: the phase words of pos^d, taken once per call, give
     w e(-lam m^d) on pos through _e_neg, and the tap at -m is minus that
-    value, conjugated for odd d.  f is embedded and transformed once;
-    taps beyond the ring wrap and add up.  One dft and one idft run per
-    lam, and each row yielded is a fresh array.
+    value, conjugated for odd d.  Taps beyond the ring wrap and add up.
+    One dft and one idft run per lam, and each row yielded is a fresh
+    array.
     """
     pos, w = taps
+    ring_size = len(fhat)
     md = _tap_powers(pos, d)
     idx_pos, idx_neg = pos % ring_size, -pos % ring_size
-    fhat = dft(_embed_on_ring(f, ring_size))
     vals = np.empty(len(pos), dtype=complex)
     ker = np.empty(ring_size, dtype=complex)
     for lam in lams:
@@ -458,6 +469,71 @@ def _modulated_outputs(f: Signal, lams: Sequence[float], taps, d: int,
         spec = dft(ker)
         spec *= fhat
         yield idft(spec)
+
+
+# measured crossover, on two CPUs: a 32-lambda partition kernel (J = 11),
+# timed alone in four alternated rounds, took 0.61-0.79 of its one-thread
+# time split on 2^14 points and 0.68-1.09 on 2^13, where modulated-fft
+# benchmark runs also read it both faster and slower split than not
+_SPLIT_MIN_RING = 2 ** 14
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _modulated_sup(f: Signal, lams: Sequence[float], taps, d: int,
+                   ring_size: int) -> np.ndarray:
+    """max over lams of |K_lam * f| on the ring, pointwise, K_lam as in
+    _modulated_outputs.
+
+    f is transformed once.  On rings of _SPLIT_MIN_RING points or more,
+    one loop runs per CPU the process may run on, and never more loops
+    than lambdas; smaller rings run one.  Each loop is its own
+    _modulated_outputs loop and running max, the first in the calling
+    thread and each other one in a thread of a pool that lives for this
+    call alone: numpy's FFT releases the interpreter lock.  The loops
+    take the lambdas one at a time from one shared iterator, so they end
+    within a lambda of each other even when one CPU runs slower.  An
+    exception in any loop is raised here, after every thread has ended.
+    The loops' maxima are combined by np.maximum, which is exact, so the
+    result is bit for bit the same whichever loop took which lambda.
+    """
+    fhat = dft(_embed_on_ring(f, ring_size))
+    n = _cpu_count() if ring_size >= _SPLIT_MIN_RING else 1
+    n = max(1, min(n, len(lams)))
+    pending, lock = iter(lams), threading.Lock()
+
+    def draw():
+        while True:
+            with lock:
+                lam = next(pending, None)
+            if lam is None:
+                return
+            yield lam
+
+    def loop_sup():
+        acc = np.zeros(ring_size)
+        for out in _modulated_outputs(fhat, draw(), taps, d):
+            np.maximum(acc, np.abs(out), out=acc)
+        return acc
+
+    # imported here: concurrent.futures brings logging and queue with it,
+    # 5-9 ms of import and 0.3-0.6 MB of peak memory in every process
+    # that imports modhilb, most of which never take this sup
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the pool starts a thread per submitted loop, none for one loop
+    with ThreadPoolExecutor(max(n - 1, 1)) as pool:
+        rest = [pool.submit(loop_sup) for _ in range(n - 1)]
+        acc = loop_sup()
+        for part in rest:
+            np.maximum(acc, part.result(), out=acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +565,7 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
         taps = _sharp_taps(2 ** (J + 1) if radius is None else radius)
     else:
         raise ValueError("kernel must be 'partition' or 'sharp'")
-    acc = np.zeros(ring_size)
-    for out in _modulated_outputs(f, grid.points, taps, d, ring_size):
-        np.maximum(acc, np.abs(out), out=acc)
+    acc = _modulated_sup(f, grid.points, taps, d, ring_size)
     return Signal(0, acc.astype(complex))
 
 
@@ -623,7 +697,8 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
         lams += [hi * (lo / hi) ** (t / g) if lo > 0 else hi * 0.5 ** t
                  for t in range(g)]
     taps = _sharp_taps(min(2 ** (J + 1), ring_size // 4))
-    outputs = _modulated_outputs(f, lams, taps, d, ring_size)
+    outputs = _modulated_outputs(dft(_embed_on_ring(f, ring_size)), lams,
+                                 taps, d)
     total = 0.0
     for _ in intervals:
         base = next(outputs)

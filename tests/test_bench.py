@@ -126,6 +126,9 @@ class TestConfig:
                      id="xj-restricted-no-seeds"),
         pytest.param("ergodic", {"seed": 0, "n_seeds": 0},
                      id="ergodic-no-seeds"),
+        # one grid point per interval is the anchor itself: every sum is 0
+        pytest.param("ergodic", {"seed": 0, "grid_per_interval": 1},
+                     id="ergodic-one-grid-point"),
         pytest.param("stationary-phase", {"seed": 0, "n_xi": 0},
                      id="stationary-phase-no-xi"),
         pytest.param("ej-decay", {"seed": 0, "samples": 0},

@@ -268,7 +268,7 @@ class TestRestrictedSup:
         def no_loop(*args):
             raise AssertionError("the modulation loop ran on a zero signal")
 
-        monkeypatch.setattr(circle, "_modulated_outputs", no_loop)
+        monkeypatch.setattr(circle, "_modulated_sup", no_loop)
         # near 0 the grid lies outside X_6, so only the zero f short-cuts
         grid = LambdaGrid(tuple(np.linspace(0.009, 0.019, 8)))
         f = Signal(5, np.zeros(16))

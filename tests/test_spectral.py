@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modhilb import spectral
 from modhilb.bench import _exp_ttstar
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
-from modhilb.spectral import (_BLOCK_MIN_TAPS, LambdaGrid, Signal,
-                              _block_symbol, _block_taps, _block_words,
-                              _e_neg, _modulated_outputs, _partition_taps,
+from modhilb.spectral import (_BLOCK_MIN_TAPS, _SPLIT_MIN_RING, LambdaGrid,
+                              Signal, _block_symbol, _block_taps,
+                              _block_words, _e_neg, _modulated_outputs,
+                              _modulated_sup, _partition_taps,
                               _phase, _sharp_taps, _symbol, _tap_table,
                               apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
@@ -455,7 +459,7 @@ class TestModulatedOutputs:
         lams = rng.random(11).tolist()
         m, w = _every_tap(taps)
         fhat = dft(np.concatenate([f.values, np.zeros(N - 256)]))
-        got = list(_modulated_outputs(f, lams, taps, d, N))
+        got = list(_modulated_outputs(fhat, lams, taps, d))
         assert len(got) == len(lams)
         for lam, out in zip(lams, got):
             ker = np.zeros(N, dtype=complex)
@@ -472,7 +476,7 @@ class TestModulatedOutputs:
         lams = rng.random(5).tolist()
         m, w = _every_tap(_block_taps(j))
         fhat = dft(np.concatenate([f.values, np.zeros(N - 1024)]))
-        got = list(_modulated_outputs(f, lams, _block_taps(j), d, N))
+        got = list(_modulated_outputs(fhat, lams, _block_taps(j), d))
         for lam, out in zip(lams, got):
             ker = np.zeros(N, dtype=complex)
             np.add.at(ker, m % N, w * np.exp(-2j * np.pi * _phase(lam, m, d)))
@@ -481,15 +485,113 @@ class TestModulatedOutputs:
     def test_rows_are_independent_arrays(self):
         # oscillation_sum holds its anchor row while it consumes the rest
         rng = np.random.Generator(np.random.Philox(19))
-        f = Signal(0, rng.standard_normal(64) + 0j)
-        outputs = _modulated_outputs(f, rng.random(6).tolist(),
-                                     _sharp_taps(100), 2, 1024)
+        fhat = dft(np.concatenate([rng.standard_normal(64),
+                                   np.zeros(1024 - 64)]))
+        outputs = _modulated_outputs(fhat, rng.random(6).tolist(),
+                                     _sharp_taps(100), 2)
         first = next(outputs)
         held = first.copy()
         rest = list(outputs)
         assert len(rest) == 5
         assert np.array_equal(first, held)
         assert not any(np.shares_memory(first, row) for row in rest)
+
+
+class TestModulatedSup:
+    """The sup over lambda, its loops split across threads, bit for bit."""
+
+    N = 2 ** 14
+
+    def signal_and_lams(self, n_lams):
+        rng = np.random.Generator(np.random.Philox(20))
+        f = Signal(0, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        return f, rng.random(n_lams).tolist()
+
+    def record_loops(self, monkeypatch):
+        """Record (thread, lambdas taken) of each modulation loop run."""
+        loops = []
+        loop = spectral._modulated_outputs
+
+        def recording(fhat, lams, taps, d):
+            taken = []
+            loops.append((threading.get_ident(), taken))
+
+            def tee():
+                for lam in lams:
+                    taken.append(lam)
+                    yield lam
+
+            return loop(fhat, tee(), taps, d)
+
+        monkeypatch.setattr(spectral, "_modulated_outputs", recording)
+        return loops
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("taps", [_block_taps(12), _partition_taps(11)],
+                             ids=["block-12", "partition-11"])
+    @pytest.mark.parametrize("cpus, n_lams, n_loops", [
+        (1, 7, 1), (2, 7, 2), (3, 7, 3), (3, 2, 2)],
+        ids=["1-cpu", "2-cpus", "3-cpus", "fewer-lambdas-than-cpus"])
+    def test_any_cpu_count_gives_the_serial_max(self, monkeypatch, taps, d,
+                                                cpus, n_lams, n_loops):
+        assert self.N >= _SPLIT_MIN_RING
+        f, lams = self.signal_and_lams(n_lams)
+        fhat = dft(np.concatenate([f.values, np.zeros(self.N - 256)]))
+        serial = np.zeros(self.N)
+        for out in _modulated_outputs(fhat, lams, taps, d):
+            np.maximum(serial, np.abs(out), out=serial)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        loops = self.record_loops(monkeypatch)
+        # more threads than this machine's CPUs, switching as often as
+        # the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _modulated_sup(f, lams, taps, d, self.N)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, serial)
+        assert len(loops) == n_loops
+        # every lambda is taken by exactly one loop
+        assert sorted(lam for _, taken in loops for lam in taken) == sorted(lams)
+        # the calling thread runs one loop, each other thread one more
+        assert len({t for t, _ in loops}) == n_loops
+        assert threading.get_ident() in {t for t, _ in loops}
+
+    def test_small_ring_runs_one_loop_in_the_calling_thread(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        loops = self.record_loops(monkeypatch)
+        f, lams = self.signal_and_lams(5)
+        _modulated_sup(f, lams, _partition_taps(8), 2, _SPLIT_MIN_RING // 2)
+        assert loops == [(threading.get_ident(), lams)]
+
+    def test_worker_exception_propagates_and_no_thread_outlives_the_call(
+            self, monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        caller = threading.get_ident()
+        e_neg = spectral._e_neg
+        failed = threading.Event()
+
+        def failing_off_the_caller(t, w, out):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise WorkerFailure
+            # the caller holds its first lambda until a worker has failed
+            # on another, so the worker cannot find the lambdas all taken
+            if not failed.wait(timeout=60):
+                raise TimeoutError("no worker took a lambda")
+            return e_neg(t, w, out)
+
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_e_neg", failing_off_the_caller)
+        f, lams = self.signal_and_lams(4)
+        before = threading.active_count()
+        with pytest.raises(WorkerFailure):
+            carleson_apply(f, LambdaGrid(tuple(sorted(lams))), 2, 11, self.N)
+        assert threading.active_count() == before
 
 
 def _fresh_tables(fam: BumpFamily) -> dict:
