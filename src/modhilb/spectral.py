@@ -13,11 +13,11 @@ operation has offset 0 and its values indexed by x mod ring_size.
 
 Threads: the maximal operator and the outside-X_j sup take their max
 over lambda through _modulated_sup, which on rings of 2^14 points or
-more splits the lambdas across the CPUs the process may run on, one
-thread each, taking the lambdas one at a time, joined before it
-returns.  The result is bit for bit the same for any CPU count; nothing
-sets the count but the CPU affinity.  The oscillation sums stay in one
-thread.
+more splits the lambdas across the CPUs the process may run on, at most
+two, one thread each, taking the lambdas one at a time, joined before
+it returns.  The result is bit for bit the same for any CPU count;
+nothing sets the count but the CPU affinity.  The oscillation sums stay
+in one thread.
 """
 
 from __future__ import annotations
@@ -476,6 +476,11 @@ def _modulated_outputs(fhat: np.ndarray, lams: Iterable[float], taps,
 # time split on 2^14 points and 0.68-1.09 on 2^13, where modulated-fft
 # benchmark runs also read it both faster and slower split than not
 _SPLIT_MIN_RING = 2 ** 14
+# the split was timed on two CPUs only: more loops are unmeasured in time
+# and in memory, where each loop holds 2.1-2.3 MB of ring buffers at 2^14
+# points beside the first (ru_maxrss of a process running modulated-fft's
+# ops, 3 rounds)
+_SPLIT_MAX_LOOPS = 2
 
 
 def _cpu_count() -> int:
@@ -492,19 +497,22 @@ def _modulated_sup(f: Signal, lams: Sequence[float], taps, d: int,
     _modulated_outputs.
 
     f is transformed once.  On rings of _SPLIT_MIN_RING points or more,
-    one loop runs per CPU the process may run on, and never more loops
-    than lambdas; smaller rings run one.  Each loop is its own
-    _modulated_outputs loop and running max, the first in the calling
-    thread and each other one in a thread of a pool that lives for this
-    call alone: numpy's FFT releases the interpreter lock.  The loops
-    take the lambdas one at a time from one shared iterator, so they end
-    within a lambda of each other even when one CPU runs slower.  An
-    exception in any loop is raised here, after every thread has ended.
-    The loops' maxima are combined by np.maximum, which is exact, so the
-    result is bit for bit the same whichever loop took which lambda.
+    one loop runs per CPU the process may run on, at most
+    _SPLIT_MAX_LOOPS and never more than lambdas; smaller rings run one.
+    Each loop is its own _modulated_outputs loop and running max, the
+    first in the calling thread and each other one in a thread of a pool
+    that lives for this call alone: numpy's FFT releases the interpreter
+    lock.  The loops take the lambdas one at a time from one shared
+    iterator, so they end within a lambda of each other even when one
+    CPU runs slower.  A loop that raises empties the iterator, so the
+    others stop after their current lambda; the exception is raised
+    here, after every thread has ended.  The loops' maxima are combined
+    by np.maximum, which is exact, so the result is bit for bit the same
+    whichever loop took which lambda.
     """
     fhat = dft(_embed_on_ring(f, ring_size))
-    n = _cpu_count() if ring_size >= _SPLIT_MIN_RING else 1
+    n = (min(_cpu_count(), _SPLIT_MAX_LOOPS)
+         if ring_size >= _SPLIT_MIN_RING else 1)
     n = max(1, min(n, len(lams)))
     pending, lock = iter(lams), threading.Lock()
 
@@ -517,9 +525,15 @@ def _modulated_sup(f: Signal, lams: Sequence[float], taps, d: int,
             yield lam
 
     def loop_sup():
+        nonlocal pending
         acc = np.zeros(ring_size)
-        for out in _modulated_outputs(fhat, draw(), taps, d):
-            np.maximum(acc, np.abs(out), out=acc)
+        try:
+            for out in _modulated_outputs(fhat, draw(), taps, d):
+                np.maximum(acc, np.abs(out), out=acc)
+        except BaseException:
+            with lock:
+                pending = iter(())
+            raise
         return acc
 
     # imported here: concurrent.futures brings logging and queue with it,

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from modhilb import spectral
 from modhilb.bench import _exp_ttstar
 from modhilb.osc import DEFAULT_BUMPS, BumpFamily, psi_j
-from modhilb.spectral import (_BLOCK_MIN_TAPS, _SPLIT_MIN_RING, LambdaGrid,
+from modhilb.spectral import (_BLOCK_MIN_TAPS, _SPLIT_MAX_LOOPS,
+                              _SPLIT_MIN_RING, LambdaGrid,
                               Signal, _block_symbol, _block_taps,
                               _block_words, _e_neg, _modulated_outputs,
                               _modulated_sup, _partition_taps,
@@ -529,18 +530,24 @@ class TestModulatedSup:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("taps", [_block_taps(12), _partition_taps(11)],
                              ids=["block-12", "partition-11"])
-    @pytest.mark.parametrize("cpus, n_lams, n_loops", [
-        (1, 7, 1), (2, 7, 2), (3, 7, 3), (3, 2, 2)],
-        ids=["1-cpu", "2-cpus", "3-cpus", "fewer-lambdas-than-cpus"])
+    @pytest.mark.parametrize("cpus, max_loops, n_lams, n_loops", [
+        (1, 2, 7, 1), (2, 2, 7, 2), (3, 2, 7, 2), (3, 3, 7, 3),
+        (3, 3, 2, 2)],
+        ids=["1-cpu", "2-cpus", "3-cpus-capped", "3-cpus-3-loops",
+             "fewer-lambdas-than-cpus"])
     def test_any_cpu_count_gives_the_serial_max(self, monkeypatch, taps, d,
-                                                cpus, n_lams, n_loops):
+                                                cpus, max_loops, n_lams,
+                                                n_loops):
         assert self.N >= _SPLIT_MIN_RING
+        assert _SPLIT_MAX_LOOPS == 2
         f, lams = self.signal_and_lams(n_lams)
         fhat = dft(np.concatenate([f.values, np.zeros(self.N - 256)]))
         serial = np.zeros(self.N)
         for out in _modulated_outputs(fhat, lams, taps, d):
             np.maximum(serial, np.abs(out), out=serial)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        # the cap raised, the code runs more loops than were timed
+        monkeypatch.setattr(spectral, "_SPLIT_MAX_LOOPS", max_loops)
         loops = self.record_loops(monkeypatch)
         # more threads than this machine's CPUs, switching as often as
         # the interpreter allows
@@ -574,11 +581,13 @@ class TestModulatedSup:
         caller = threading.get_ident()
         e_neg = spectral._e_neg
         failed = threading.Event()
+        caller_lams = []
 
         def failing_off_the_caller(t, w, out):
             if threading.get_ident() != caller:
                 failed.set()
                 raise WorkerFailure
+            caller_lams.append(t)
             # the caller holds its first lambda until a worker has failed
             # on another, so the worker cannot find the lambdas all taken
             if not failed.wait(timeout=60):
@@ -592,6 +601,10 @@ class TestModulatedSup:
         with pytest.raises(WorkerFailure):
             carleson_apply(f, LambdaGrid(tuple(sorted(lams))), 2, 11, self.N)
         assert threading.active_count() == before
+        # the failed loop emptied the iterator: the caller stopped after
+        # the lambda it held, if it took one before the worker, and left
+        # the rest untaken
+        assert len(caller_lams) <= 1
 
 
 def _fresh_tables(fam: BumpFamily) -> dict:
