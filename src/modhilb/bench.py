@@ -8,6 +8,9 @@ operations together, draws any randomness from a counter-based Philox
 generator keyed by the configured seed, and emits a CSV table plus a
 JSON summary whose "params" are the complete resolved config.
 Re-running an identical config reproduces the CSV byte for byte.
+An experiment measures what the toolkit computes; a slow oracle that
+only tests compare a fast path with lives in tests/oracles.py, with its
+comparison in the tests.
 
 Every parameter changes what its experiment reports: a value that
 reaches no row and no summary value is a constant of the body, not an
@@ -332,6 +335,7 @@ def _exp_carleson(*, N: int = 512, J: int = 6, d: int = 2, grid_size: int = 32,
                   input: str = "delta", seed: int = 0):
     # seed draws the random input; the delta input uses no randomness
     _need(input in ("delta", "random"), "input 'delta' or 'random'")
+    _need(J >= 1, "J >= 1: the partition kernel sums the blocks j = 1..J")
     if input == "delta":
         f = spectral.Signal.delta(0)
     else:
@@ -498,23 +502,6 @@ def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
                   "threshold": 0.9}, worst < 0.9
 
 
-def _exp_variation(*, n_max: int = 8,
-                   r_list: tuple[float, ...] = (1.0, 2.0, 3.0, math.inf)):
-    _need(n_max >= 2 and r_list, "n_max >= 2 and an r to compare")
-    worst = 0.0
-    rows = []
-    for n in range(2, n_max + 1):
-        seqs = np.array(np.meshgrid(*([[-1, 0, 1]] * n),
-                                    indexing="ij")).reshape(n, -1).T
-        for r in r_list:
-            brute = spectral.r_variation_bruteforce(seqs, r)
-            dp = spectral.r_variation(seqs, r)
-            dev = float(np.abs(brute - dp).max())
-            worst = max(worst, dev)
-            rows.append({"n": n, "r": r, "max_abs_diff": dev})
-    return rows, {"max_abs_diff": worst}, worst < 1e-12
-
-
 EXPERIMENTS = {
     "weyl-scan": _exp_weyl_scan,
     "hua-fit": _exp_hua_fit,
@@ -527,7 +514,6 @@ EXPERIMENTS = {
     "square-function": _exp_square_function,
     "ttstar": _exp_ttstar,
     "ergodic": _exp_ergodic,
-    "variation": _exp_variation,
 }
 
 

@@ -6,7 +6,7 @@ Two invocation styles:
     modhilb <experiment-name> [--key value ...] --out results/
 
 The second form builds a config on the fly; values are parsed as JSON
-when possible (so --seed 7 is an int and --r_list "[1,2]" a list) and
+when possible (so --seed 7 is an int and --s_list "[3,4]" a list) and
 fall back to plain strings.
 """
 

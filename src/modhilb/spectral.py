@@ -4,8 +4,7 @@ DFT-based multiplier application on cyclic rings with the square
 function of the symbols G, the block multipliers M_j and the truncated
 symbol M, the maximal modulated-Hilbert operator over a modulation grid
 (with a direct convolution oracle), the arithmetic factor of the TT*
-kernel, and the r-variation (with its exhaustive oracle) and
-oscillation functionals.
+kernel, and the r-variation and oscillation functionals.
 
 Fourier convention: the forward transform uses the kernel e(-beta n), so
 dft agrees with the standard FFT sign.  A Signal returned by a ring
@@ -36,12 +35,11 @@ from .osc import DEFAULT_BUMPS, BumpFamily, G_hat_direct, PhaseContext, psi_j
 from .weyl import _complete_sum_row
 
 
-@dataclass
+@dataclass(eq=False)
 class Signal:
     """A finitely supported complex function on the integers.
 
-    values[i] is the value at offset + i.  Two signals with the same
-    pointwise values compare equal regardless of zero padding.
+    values[i] is the value at offset + i.
     """
 
     offset: int
@@ -56,22 +54,11 @@ class Signal:
     def delta(cls, x: int = 0) -> "Signal":
         return cls(x, np.array([1.0 + 0j]))
 
-    def trimmed(self) -> tuple[int, np.ndarray]:
-        nz = np.nonzero(self.values)[0]
-        if len(nz) == 0:
-            return 0, np.zeros(0, dtype=complex)
-        return self.offset + int(nz[0]), self.values[nz[0]:nz[-1] + 1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Signal):
-            return NotImplemented
-        off_a, val_a = self.trimmed()
-        off_b, val_b = other.trimmed()
-        return off_a == off_b and np.array_equal(val_a, val_b)
-
     @property
     def support_width(self) -> int:
-        return len(self.trimmed()[1])
+        """The length from the first nonzero value to the last, 0 if none."""
+        nz = np.flatnonzero(self.values)
+        return int(nz[-1] - nz[0]) + 1 if nz.size else 0
 
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -297,7 +284,12 @@ def _block_taps(j: int,
 
 def _partition_taps(J: int,
                     fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1."""
+    """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1.
+
+    ValueError if J < 1, where no block is summed.
+    """
+    if J < 1:
+        raise ValueError("J must be >= 1")
     return _tap_table("partition", J, fam.smoothness_order)
 
 
@@ -435,8 +427,6 @@ def multiplier_M(lam: float, beta: float, d: int, J: int,
     not reach.  The total matches the sharp kernel sum for every
     |m| <= 2^J, with the partition's smooth roll-off on (2^J, 2^(J+1)].
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
     return _symbol(lam, beta, _partition_taps(J, fam), d)
 
 
@@ -560,11 +550,11 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
     """Pointwise max over the grid of |(M(lam, .) fhat)^v|.
 
     kernel="partition" uses the truncated symbol multiplier_M assembled
-    from the dyadic blocks, whose reach is 2^(J+1); any other radius
-    raises ValueError.  kernel="sharp" uses the exact coefficients
-    e(-lam m^d)/m up to the given radius (default 2^(J+1)), which is the
-    radius-matched FFT counterpart of carleson_direct_oracle.  Cost is
-    O(|grid| N log N) either way.
+    from the dyadic blocks j = 1..J, whose reach is 2^(J+1); J < 1 or any
+    other radius raises ValueError.  kernel="sharp" uses the exact
+    coefficients e(-lam m^d)/m up to the given radius (default 2^(J+1)),
+    which is the radius-matched FFT counterpart of
+    carleson_direct_oracle.  Cost is O(|grid| N log N) either way.
     """
     if len(grid.points) == 0:
         raise ValueError("empty modulation grid")
@@ -639,7 +629,7 @@ def r_variation(seqs, r: float):
     """sup over increasing subsequences of the l^r norm of differences.
 
     seqs is one sequence, which gives a float, or a (rows, n) stack of
-    them, which gives one value per row, as r_variation_bruteforce does.
+    them, which gives one value per row.
     r = inf returns the diameter.  Dynamic programming over endpoint
     indices, for every row at once: best[:, i] is the largest sum of r-th
     powers over paths ending at i; O(n^2) per row.
@@ -661,25 +651,6 @@ def r_variation(seqs, r: float):
             best[:, i] = (best[:, :i] + diff[:, :i, i] ** r).max(axis=1)
         out = best.max(axis=1) ** (1.0 / r)
     return float(out[0]) if a.ndim == 1 else out
-
-
-def r_variation_bruteforce(seqs: np.ndarray, r: float) -> np.ndarray:
-    """The r-variation of each row of seqs, by exhaustive enumeration over
-    all increasing subsequences (the oracle of r_variation)."""
-    seqs = np.asarray(seqs)
-    n = seqs.shape[1]
-    best = np.zeros(len(seqs))
-    for mask in range(1, 2 ** n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if len(idx) < 2:
-            continue
-        diffs = np.abs(np.diff(seqs[:, idx], axis=1))
-        if math.isinf(r):
-            vals = diffs.max(axis=1)
-        else:
-            vals = (diffs ** r).sum(axis=1) ** (1.0 / r)
-        np.maximum(best, vals, out=best)
-    return best
 
 
 def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],

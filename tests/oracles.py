@@ -7,6 +7,8 @@ takes, so an agreement checks the fast path's pruning argument.
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from modhilb.circle import ApproxParams, _ljs_term
 
 
@@ -44,3 +46,21 @@ def L_js_full_enumeration(lam: float, beta: float, j: int, s: int,
     return sum((_ljs_term(lam, beta, j, s, A, B, Q, p, tol)
                 for A, B, Q in all_centers(s)), 0j)
 
+
+def r_variation_bruteforce(seqs: np.ndarray, r: float) -> np.ndarray:
+    """The r-variation of each row of seqs, by exhaustive enumeration over
+    all increasing subsequences (the oracle of r_variation)."""
+    seqs = np.asarray(seqs)
+    n = seqs.shape[1]
+    best = np.zeros(len(seqs))
+    for mask in range(1, 2 ** n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if len(idx) < 2:
+            continue
+        diffs = np.abs(np.diff(seqs[:, idx], axis=1))
+        if math.isinf(r):
+            vals = diffs.max(axis=1)
+        else:
+            vals = (diffs ** r).sum(axis=1) ** (1.0 / r)
+        np.maximum(best, vals, out=best)
+    return best

@@ -13,6 +13,7 @@ import numpy as np
 
 from modhilb import bench, spectral, weyl
 from modhilb.spectral import LambdaGrid, Signal
+from oracles import r_variation_bruteforce
 
 
 def timed(budget_seconds):
@@ -55,15 +56,13 @@ def test_02_gauss_sum_magnitude_primes():
 
 def test_03_kernel_identity_exhaustive():
     with timed(60):
-        for d in (2, 3):
-            for q in range(1, 41):
-                for a in range(q):
-                    if math.gcd(a, q) != 1:
-                        continue
-                    for x in range(q):
-                        lhs, rhs = weyl.weyl_kernel_identity(a, q, d, x)
-                        assert abs(lhs - rhs) < 1e-10, (d, q, a, x)
-                        assert abs(abs(rhs) - 1.0) < 1e-12, (d, q, a, x)
+        rows, summary, passed = bench._exp_kernel_identity(q_max=40,
+                                                           d_list=(2, 3))
+        assert len(rows) == 2 * 40
+        for row in rows:
+            assert row["max_abs_diff"] < 1e-10, row
+            assert row["max_modulus_dev"] < 1e-12, row
+        assert passed
 
 
 def test_04_hua_exponent():
@@ -167,7 +166,7 @@ def test_11_r_variation_dp_equals_enumeration():
                                         indexing="ij")).reshape(n, -1).T
             per_r = {}
             for r in (1.0, 2.0, 3.0, math.inf):
-                brute = spectral.r_variation_bruteforce(seqs, r)
+                brute = r_variation_bruteforce(seqs, r)
                 dp = spectral.r_variation(seqs, r)
                 assert float(np.abs(brute - dp).max()) < 1e-12, (n, r)
                 per_r[r] = dp

@@ -74,14 +74,12 @@ class TestConfig:
                      id="nan-str-as-float"),
         pytest.param("stationary-phase", {"seed": 0, "tol": math.nan},
                      id="nan-as-float"),
-        pytest.param("variation", {"r_list": [2.0, "nan"]},
-                     id="nan-in-float-list"),
     ])
     def test_wrong_scalar_type_rejected(self, name, params):
         # Python would convert each of these: True to 1, False to 0.0, 5 to
         # "5", "nan" to a float that is no number (a NaN tol ran to a nan
         # threshold and a fail); a config that says so is a mistake, not a
-        # value.  inf is a float: variation's r_list default holds it
+        # value
         with pytest.raises(ValueError, match="is not a valid"):
             ExperimentConfig(name, params).validate()
 
@@ -120,8 +118,6 @@ class TestConfig:
                      id="kernel-identity-q0"),
         pytest.param("kernel-identity", {"d_list": []},
                      id="kernel-identity-no-d"),
-        pytest.param("variation", {"n_max": 1}, id="variation-n1"),
-        pytest.param("variation", {"r_list": []}, id="variation-no-r"),
         pytest.param("xj-restricted", {"seed": 0, "n_seeds": 0},
                      id="xj-restricted-no-seeds"),
         pytest.param("ergodic", {"seed": 0, "n_seeds": 0},
@@ -136,6 +132,8 @@ class TestConfig:
         # an input that is neither "delta" nor "random" (a typo)
         pytest.param("carleson", {"input": "deltax", "N": 64, "J": 3},
                      id="carleson-unknown-input"),
+        # the partition kernel sums the blocks j = 1..J
+        pytest.param("carleson", {"N": 64, "J": 0}, id="carleson-J0"),
     ])
     def test_range_too_short_rejected(self, tmp_path, monkeypatch, name,
                                       params):
@@ -152,7 +150,6 @@ class TestConfig:
                              (spectral, "carleson_apply"),
                              (spectral, "multiplier_Mj"),
                              (spectral, "oscillation_sum"),
-                             (spectral, "r_variation"),
                              (weyl, "_admissible_table"),
                              (weyl, "weyl_kernel_identity")]:
             monkeypatch.setattr(module, attr, no_compute)
@@ -197,8 +194,6 @@ class TestReports:
         assert payload["params"] == {"q_max": 200, "d": 2}
 
     @pytest.mark.parametrize("name, params", [
-        # the default r_list holds inf, which the summary writes as Infinity
-        pytest.param("variation", {"n_max": 4}, id="variation"),
         pytest.param("weyl-scan", {"q_max": 12, "d_list": [2, 3]},
                      id="weyl-scan"),
         pytest.param("hua-fit", {"q_max": 30}, id="hua-fit"),
@@ -227,12 +222,6 @@ class TestReports:
 
 
 class TestLightExperiments:
-    def test_variation_experiment(self, tmp_path):
-        cfg = ExperimentConfig("variation", {"n_max": 5}, str(tmp_path))
-        rep = run(cfg)
-        assert rep.passed
-        assert rep.summary["max_abs_diff"] < 1e-12
-
     def test_carleson_delta_pattern(self, tmp_path):
         cfg = ExperimentConfig("carleson", {"N": 256, "J": 5, "grid_size": 8},
                                str(tmp_path))
@@ -309,9 +298,9 @@ class TestCli:
                               capture_output=True, text=True)
 
     def test_subcommand_style(self, tmp_path):
-        res = self.run_cli("variation", "--n_max", "4", "--out", str(tmp_path))
+        res = self.run_cli("weyl-scan", "--q_max", "6", "--out", str(tmp_path))
         assert res.returncode == 0
-        assert (tmp_path / "variation.csv").exists()
+        assert (tmp_path / "weyl-scan.csv").exists()
 
     def test_config_style(self, tmp_path):
         cfg = {"schema_version": SCHEMA_VERSION, "experiment": "weyl-scan",
@@ -332,7 +321,7 @@ def test_every_experiment_registered():
     assert set(EXPERIMENTS) == {
         "weyl-scan", "hua-fit", "kernel-identity", "major-arc-error",
         "ej-decay", "xj-restricted", "carleson", "stationary-phase",
-        "square-function", "ttstar", "ergodic", "variation"}
+        "square-function", "ttstar", "ergodic"}
 
 
 # For each experiment a small base config and, for each of its options,
@@ -373,8 +362,6 @@ OPTION_CHANGES = {
                  "grid_per_interval": 2},
                 {"seed": 1, "N": 512, "d": 3, "J_list": [2, 3],
                  "n_seeds": 2, "grid_per_interval": 3, "J_mult": 3}),
-    "variation": ({"n_max": 3, "r_list": [1.0, 2.0]},
-                  {"n_max": 4, "r_list": [1.0, 3.0]}),
 }
 
 

@@ -42,7 +42,6 @@ FLOORS = {
     "square-function": 0.0,
     "ttstar": 0.0,
     "ergodic": 0.0,
-    "variation": 1e-13,
 }
 
 _INT = re.compile(r"-?\d+")

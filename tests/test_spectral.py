@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import os
 import sys
 import threading
 from fractions import Fraction
@@ -24,7 +25,8 @@ from modhilb.spectral import (_BLOCK_MIN_TAPS, _SPLIT_MAX_LOOPS,
                               carleson_direct_oracle, dft, idft,
                               multiplier_M, multiplier_Mj,
                               oscillation_sum, r_variation,
-                              r_variation_bruteforce, ttstar_frequency_factor)
+                              ttstar_frequency_factor)
+from oracles import r_variation_bruteforce
 from test_weyl import naive_complete_sum
 
 
@@ -36,15 +38,10 @@ def _every_tap(taps) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestSignal:
-    def test_padding_invariant_equality(self):
-        a = Signal(0, np.array([0, 1.0, 2.0, 0, 0]))
-        b = Signal(1, np.array([1.0, 2.0]))
-        assert a == b
-
     def test_delta(self):
         d = Signal.delta(3)
-        # 1 at 3 and 0 at 2: equality ignores zero padding
-        assert d == Signal(2, np.array([0.0, 1.0]))
+        assert d.offset == 3
+        assert np.array_equal(d.values, [1.0 + 0j])
         assert d.support_width == 1
 
 
@@ -220,6 +217,22 @@ class TestTabulatedExp:
         assert np.max(np.abs(out - w * np.exp(-2j * np.pi * t))) <= 1.5e-15
 
 
+def _full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
+    """sum_m w(m) e(-lam m^d - beta m) over every tap, phases in Fraction."""
+    total = 0j
+    for mi, wi in zip(m, w):
+        ph = Fraction(lam) * mi ** d + Fraction(beta) * mi
+        total += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
+    return total
+
+
+# lam = 0.7 2^-40 has bits below 2^-64, which _reduce carries apart; the
+# last point lies in the major box around (1/3, 2/3) at j = 13
+_LAM_BETA = [(0.7310585786300049, 0.1), (0.123456789, 0.6180339887498949),
+             (0.5 + 2.0 ** -20, 1.0 / 3.0), (0.0, 0.37), (0.7 * 2.0 ** -40, 0.29),
+             (1.0 / 3.0 + 1.3 * 2.0 ** -26, 2.0 / 3.0 - 0.7 * 2.0 ** -13)]
+
+
 class TestMultipliers:
     def test_mj_zero_at_origin(self):
         assert abs(multiplier_Mj(0.0, 0.0, 4, 2)) < 1e-13
@@ -264,34 +277,16 @@ class TestMultipliers:
         # odd kernel sums to zero
         assert abs(multiplier_M(0.5, 0.5, 2, 8)) < 1e-12
 
-    def test_m_matches_sharp_kernel_inside_radius(self):
-        # the partition reproduces e(.)/m exactly for |m| <= 2^J
-        lam, beta, d, J = 0.21, 0.43, 2, 6
-        val = multiplier_M(lam, beta, d, J)
-        sharp = 0j
-        for m in range(1, 2 ** (J + 1) + 1):
-            for mm in (m, -m):
-                w = sum(2.0 ** -j * DEFAULT_BUMPS.psi(2.0 ** -j * mm)
-                        for j in range(1, J + 1)) if abs(mm) > 1 else 1.0 / mm
-                sharp += w * cmath.exp(
-                    -2j * cmath.pi * ((lam * mm ** d + beta * mm) % 1.0))
-        assert val == pytest.approx(sharp, abs=1e-10)
-
-
-def _full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
-    """sum_m w(m) e(-lam m^d - beta m) over every tap, phases in Fraction."""
-    total = 0j
-    for mi, wi in zip(m, w):
-        ph = Fraction(lam) * mi ** d + Fraction(beta) * mi
-        total += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
-    return total
-
-
-# lam = 0.7 2^-40 has bits below 2^-64, which _reduce carries apart; the
-# last point lies in the major box around (1/3, 2/3) at j = 13
-_LAM_BETA = [(0.7310585786300049, 0.1), (0.123456789, 0.6180339887498949),
-             (0.5 + 2.0 ** -20, 1.0 / 3.0), (0.0, 0.37), (0.7 * 2.0 ** -40, 0.29),
-             (1.0 / 3.0 + 1.3 * 2.0 ** -26, 2.0 / 3.0 - 0.7 * 2.0 ** -13)]
+    @pytest.mark.parametrize("J, d", [(6, 2), (6, 3), (11, 2), (11, 3)])
+    @pytest.mark.parametrize("lam, beta", _LAM_BETA)
+    def test_m_matches_sharp_kernel_inside_radius(self, lam, beta, J, d):
+        # the partition of unity: the blocks j = 1..J sum to 1/m for
+        # |m| <= 2^J, and psi_J alone is the roll-off on (2^J, 2^(J+1)]
+        n = np.arange(1, 2 ** (J + 1) + 1)
+        m = np.concatenate([-n[::-1], n])
+        w = np.where(np.abs(m) <= 2 ** J, 1.0 / m, psi_j(m.astype(float), J))
+        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
+        assert abs(multiplier_M(lam, beta, d, J) - want) <= 1e-13
 
 
 class TestHalfTapSymbol:
@@ -433,6 +428,14 @@ class TestCarleson:
         with pytest.raises(ValueError):
             carleson_direct_oracle(Signal.delta(0), LambdaGrid(()), 2, 8, 64)
 
+    @pytest.mark.parametrize("J", [0, -1])
+    def test_partition_below_one_block_rejected(self, J):
+        # the partition kernel sums the blocks j = 1..J, as multiplier_M does
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            carleson_apply(Signal.delta(0), LambdaGrid((0.1, 0.6)), 2, J, 64)
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            multiplier_M(0.1, 0.3, 2, J)
+
     def test_partition_radius_is_its_reach(self):
         # the partition kernel reaches 2^(J+1); that radius, or none, is
         # the only one it accepts
@@ -564,6 +567,19 @@ class TestModulatedSup:
         # the calling thread runs one loop, each other thread one more
         assert len({t for t, _ in loops}) == n_loops
         assert threading.get_ident() in {t for t, _ in loops}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_loop_count_follows_the_cpu_affinity(self, monkeypatch):
+        # the CPU count unpatched: as many loops as CPUs the process may
+        # run on, capped, on a ring where the sup splits
+        assert self.N >= _SPLIT_MIN_RING
+        loops = self.record_loops(monkeypatch)
+        f, lams = self.signal_and_lams(7)
+        _modulated_sup(f, lams, _partition_taps(11), 2, self.N)
+        assert len(loops) == min(len(os.sched_getaffinity(0)),
+                                 _SPLIT_MAX_LOOPS, len(lams))
+        assert sorted(lam for _, taken in loops for lam in taken) == sorted(lams)
 
     def test_small_ring_runs_one_loop_in_the_calling_thread(self,
                                                             monkeypatch):
