@@ -419,15 +419,16 @@ def _exp_stationary_phase(*, seed: int, d: int = 2, tol: float = 1e-8,
 
 def _exp_square_function(*, seed: int, d: int = 2, l: int = 2, k_min: int = 2,
                          k_max: int = 3):
-    rng = make_rng(seed)
-    f = _random_signal(rng, 8)
-    out1 = spectral.square_function_S_G(f, l, (k_min, k_max), 4, d)
-    out2 = spectral.square_function_S_G(
-        spectral.Signal(f.offset, 2.0 * f.values), l, (k_min, k_max), 4, d)
-    dev = float(np.abs(out2.values - 2.0 * out1.values).max())
-    rows = [{"x": x, "S_G": float(out1.values[x].real)}
-            for x in range(len(out1.values))]
-    return rows, {"homogeneity_dev": dev}, dev < 1e-8
+    """S_G of a random signal; no pass is claimed.
+
+    Homogeneity, S_G(2f) = 2 S_G(f), holds bit for bit since doubling is
+    exact, so no defect could fail it; the results ledger checks the rows.
+    """
+    f = _random_signal(make_rng(seed), 8)
+    out = spectral.square_function_S_G(f, l, (k_min, k_max), 4, d)
+    rows = [{"x": x, "S_G": float(out.values[x].real)}
+            for x in range(len(out.values))]
+    return rows, {}, True
 
 
 def _exp_ttstar(*, seed: int, s_list: tuple[int, ...] = (3, 4, 5), d: int = 2,
@@ -476,6 +477,7 @@ def _exp_ergodic(*, seed: int, N: int = 2 ** 12, d: int = 2,
     # the first grid point of each interval is its anchor, so one point
     # compares the anchor with itself and every sum is 0
     _need(grid_per_interval >= 2, "grid_per_interval >= 2")
+    _need(J_mult >= 0, "J_mult >= 0: a kernel radius 2^(J_mult+1) >= 2")
     rows = []
     exponents = []
     for t in range(n_seeds):

@@ -8,6 +8,9 @@ Two invocation styles:
 The second form builds a config on the fly; values are parsed as JSON
 when possible (so --seed 7 is an int and --s_list "[3,4]" a list) and
 fall back to plain strings.
+
+Exit status: 0 on a pass, 1 on a completed run that fails its check, 2
+(one line on stderr) on a refused config or a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -27,23 +30,13 @@ def _parse_value(text: str):
 
 
 def _pairs_to_params(extras: list) -> dict:
-    params = {}
-    key = None
-    for token in extras:
-        if token.startswith("--"):
-            if key is not None:
-                raise SystemExit(f"missing value for --{key}")
-            key = token[2:]
-            if not key:
-                raise SystemExit("empty option name")
-        else:
-            if key is None:
-                raise SystemExit(f"unexpected argument {token!r}")
-            params[key] = _parse_value(token)
-            key = None
-    if key is not None:
-        raise SystemExit(f"missing value for --{key}")
-    return params
+    keys, values = extras[::2], extras[1::2]
+    for i, key in enumerate(keys):
+        if not key.startswith("--") or key == "--":
+            raise ValueError(f"unexpected argument {key!r}")
+        if i == len(values) or values[i].startswith("--"):
+            raise ValueError(f"missing value for {key}")
+    return {key[2:]: _parse_value(v) for key, v in zip(keys, values)}
 
 
 def main(argv=None) -> int:
@@ -60,16 +53,19 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--out", required=True)
 
-    if argv and argv[0] in EXPERIMENTS:
-        name = argv[0]
-        known, extras = sub.choices[name].parse_known_args(argv[1:])
-        params = _pairs_to_params(extras)
-        config = ExperimentConfig(name, params, output_path=known.out)
-    else:
-        args = parser.parse_args(argv)
-        config = ExperimentConfig.from_json(args.config)
-
-    report = run(config)
+    try:
+        if argv and argv[0] in EXPERIMENTS:
+            name = argv[0]
+            known, extras = sub.choices[name].parse_known_args(argv[1:])
+            params = _pairs_to_params(extras)
+            config = ExperimentConfig(name, params, output_path=known.out)
+        else:
+            args = parser.parse_args(argv)
+            config = ExperimentConfig.from_json(args.config)
+        report = run(config)
+    except (OSError, ValueError) as exc:
+        print(f"modhilb: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{config.experiment}: pass={report.passed}")
     for k, v in report.summary.items():
         print(f"  {k}: {v}")

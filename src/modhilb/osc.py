@@ -112,20 +112,14 @@ class BumpFamily:
         return float(res) if arr.ndim == 0 else res
 
     def chi(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        res = np.asarray(self.eta(arr / self.c_chi))
-        return float(res) if arr.ndim == 0 else res
+        return self.eta(xi / self.c_chi)
 
     def zeta(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        res = np.asarray(self.eta(arr / 8.0)) - np.asarray(self.eta(16.0 * arr))
-        return float(res) if arr.ndim == 0 else res
+        return self.eta(xi / 8.0) - self.eta(16.0 * xi)
 
     def xi0(self, s):
         """Excision bump: 1 for |s| <= 1/(8d), 0 for |s| >= 1/(4d)."""
-        arr = np.asarray(s, dtype=float)
-        res = np.asarray(self.eta(8.0 * self.d * arr))
-        return float(res) if arr.ndim == 0 else res
+        return self.eta(8.0 * self.d * s)
 
 
 DEFAULT_BUMPS = BumpFamily(d=2)
@@ -134,9 +128,7 @@ DEFAULT_BUMPS = BumpFamily(d=2)
 def psi_j(t, j: int, fam: BumpFamily = DEFAULT_BUMPS):
     """The dilated block 2^(-j) psi(2^(-j) t), supported 2^(j-1) <= |t| <= 2^(j+1)."""
     scale = math.ldexp(1.0, -j)
-    arr = np.asarray(t, dtype=float)
-    res = scale * np.asarray(fam.psi(scale * arr))
-    return float(res) if arr.ndim == 0 else res
+    return scale * fam.psi(scale * t)
 
 
 # ---------------------------------------------------------------------------

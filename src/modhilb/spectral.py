@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -294,8 +295,12 @@ def _partition_taps(J: int,
 
 
 def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact kernel 1/m, 0 < |m| <= radius."""
-    return _tap_table("sharp", radius, 0)
+    """The exact kernel 1/m, 0 < |m| <= radius, an integer >= 1: a float
+    radius, such as 2^(J+1) at a negative J, is refused, not rounded."""
+    if not isinstance(radius, numbers.Integral) or radius < 1:
+        raise ValueError(f"sharp kernel radius must be an integer >= 1, "
+                         f"not {radius!r}")
+    return _tap_table("sharp", int(radius), 0)
 
 
 # _block_symbol's blocks hold _K = _K1 _K2 taps, written _PASS blocks a pass
@@ -664,12 +669,13 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
     transform with kernel radius min(2^(J+1), ring_size/4), applied
     circularly on purpose: it models the rotation x -> x+1 on Z/N, a
     measure-preserving system.  The per-interval grid is geometric
-    between hi and lo.
+    from hi toward lo; a grid point equal to its interval's anchor is
+    not transformed, as its difference from the anchor is exactly 0.
     """
     if grid_per_interval < 1:
         raise ValueError("grid_per_interval must be >= 1")
     g = grid_per_interval
-    lams = []
+    passes = []
     prev_lo = None
     for lo, hi, anchor in intervals:
         if not (0.0 <= lo < hi and lo < anchor <= hi):
@@ -678,17 +684,17 @@ def oscillation_sum(f: Signal, intervals: Sequence[tuple[float, float, float]],
             raise ValueError("intervals must be decreasing and disjoint")
         prev_lo = lo
         # each interval is one pass over [anchor, grid...]
-        lams.append(anchor)
-        lams += [hi * (lo / hi) ** (t / g) if lo > 0 else hi * 0.5 ** t
-                 for t in range(g)]
+        grid = [hi * (lo / hi) ** (t / g) if lo > 0 else hi * 0.5 ** t
+                for t in range(g)]
+        passes.append([anchor] + [lam for lam in grid if lam != anchor])
     taps = _sharp_taps(min(2 ** (J + 1), ring_size // 4))
-    outputs = _modulated_outputs(dft(_embed_on_ring(f, ring_size)), lams,
-                                 taps, d)
+    outputs = _modulated_outputs(dft(_embed_on_ring(f, ring_size)),
+                                 itertools.chain(*passes), taps, d)
     total = 0.0
-    for _ in intervals:
+    for lams in passes:
         base = next(outputs)
         sup = np.zeros(ring_size)
-        for _ in range(g):
+        for _ in lams[1:]:
             np.maximum(sup, np.abs(next(outputs) - base), out=sup)
         total += float((sup ** 2).sum())
     return total

@@ -11,7 +11,7 @@ import pytest
 
 from modhilb import circle, farey, osc, spectral, weyl
 from modhilb.bench import (EXPERIMENTS, ExperimentConfig, RNG_ALGORITHM,
-                           SCHEMA_VERSION, make_rng, run)
+                           SCHEMA_VERSION, _random_signal, make_rng, run)
 from modhilb.cli import main
 
 
@@ -125,6 +125,10 @@ class TestConfig:
         # one grid point per interval is the anchor itself: every sum is 0
         pytest.param("ergodic", {"seed": 0, "grid_per_interval": 1},
                      id="ergodic-one-grid-point"),
+        # 2^(J_mult+1) is the sharp kernel's radius, a float below 1 from
+        # J_mult = -2 on
+        pytest.param("ergodic", {"seed": 0, "J_mult": -1},
+                     id="ergodic-negative-J_mult"),
         pytest.param("stationary-phase", {"seed": 0, "n_xi": 0},
                      id="stationary-phase-no-xi"),
         pytest.param("ej-decay", {"seed": 0, "samples": 0},
@@ -255,10 +259,25 @@ class TestLightExperiments:
         assert rep.passed
         assert rep.summary["fitted_exponent"] <= -0.4
 
-    def test_square_function(self, tmp_path):
-        cfg = ExperimentConfig("square-function", {"seed": 1}, str(tmp_path))
-        rep = run(cfg)
-        assert rep.passed
+    def test_square_function(self, tmp_path, monkeypatch):
+        # the experiment computes S_G of its input once, and reports it
+        calls = []
+        symbol = spectral.G_hat_direct
+
+        def counting(*args):
+            calls.append(args)
+            return symbol(*args)
+
+        monkeypatch.setattr(spectral, "G_hat_direct", counting)
+        rep = run(ExperimentConfig("square-function", {"seed": 1},
+                                   str(tmp_path)))
+        assert rep.passed and rep.summary == {}
+        ran = len(calls)
+        calls.clear()
+        f = _random_signal(make_rng(1), 8)
+        out = spectral.square_function_S_G(f, 2, (2, 3), 4, 2)
+        assert ran == len(calls) == 256
+        assert [row["S_G"] for row in rep.rows] == out.values.real.tolist()
 
     def test_kernel_identity_small(self, tmp_path):
         cfg = ExperimentConfig("kernel-identity", {"q_max": 12,
@@ -312,9 +331,47 @@ class TestCli:
         assert (tmp_path / "weyl-scan.summary.json").exists()
 
     def test_failing_assertion_nonzero_exit(self, tmp_path):
-        # an impossible hua threshold cannot fail, so use a bad config
+        # a config file that cannot be read is refused, with one line
         res = self.run_cli("run", "--config", str(tmp_path / "missing.json"))
-        assert res.returncode != 0
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+
+    def test_refused_config_exits_2(self, tmp_path, capsys):
+        # the partition kernel sums the blocks j = 1..J: J = 0 is refused
+        # before anything runs or is written
+        out = tmp_path / "out"
+        assert main(["carleson", "--J", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need J >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extras, message", [
+        (["--q_max"], "missing value for --q_max"),
+        (["--q_max", "--d_list", "[2]"], "missing value for --q_max"),
+        (["6"], "unexpected argument '6'"),
+        (["--q_max", "6", "7"], "unexpected argument '7'"),
+    ], ids=["no-value", "option-as-value", "bare-value", "extra-value"])
+    def test_malformed_options_exit_2(self, tmp_path, capsys, extras,
+                                      message):
+        out = tmp_path / "out"
+        assert main(["weyl-scan", *extras, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_check_exits_1(self, tmp_path, monkeypatch):
+        # a run that completes and fails its check, as in
+        # test_carleson_random_checked_against_oracle
+        oracle = spectral.carleson_direct_oracle
+
+        def perturbed(*args):
+            out = oracle(*args)
+            return spectral.Signal(out.offset, out.values + 1e-6)
+
+        monkeypatch.setattr(spectral, "carleson_direct_oracle", perturbed)
+        args = ["carleson", "--N", "64", "--J", "3", "--grid_size", "4",
+                "--input", "random", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert (tmp_path / "carleson.csv").exists()
 
 
 def test_every_experiment_registered():

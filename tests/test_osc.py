@@ -225,6 +225,10 @@ class TestPhaseContext:
             PhaseContext(2, 4, 3, 1.0)  # lam outside [2^-5, 2^-4)
         ctx = PhaseContext(2, 4, 3, 1.5 * 2.0 ** -5)
         assert ctx.lam2kd == pytest.approx(1.5 * 2.0 ** 3)
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            PhaseContext(1, 4, 3, 1.5 * 2.0 ** -1)
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            PhaseContext(2, 4, -1, 1.5 * 2.0 ** -9)
 
     def test_regime_condition(self):
         with pytest.raises(ValueError):
@@ -342,6 +346,10 @@ class TestSquareFunction:
         f = Signal(0, np.zeros(4))
         out = square_function_S_G(f, 2, (2, 2), 4, 2)
         assert np.allclose(out.values, 0.0)
+
+    def test_no_grid_point_rejected(self):
+        with pytest.raises(ValueError, match="at least one grid point"):
+            square_function_S_G(Signal(0, np.ones(4)), 2, (2, 2), 0, 2)
 
     def test_homogeneity(self):
         rng = np.random.Generator(np.random.Philox(6))

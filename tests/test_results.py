@@ -16,6 +16,7 @@ import re
 import tempfile
 from pathlib import Path
 
+from modhilb import spectral
 from modhilb.bench import EXPERIMENTS, ExperimentConfig, run
 
 RESULTS = Path(__file__).parent / "results"
@@ -99,6 +100,16 @@ def test_ledger_matches_committed_results(tmp_path):
         assert summary["pass"] is True, name
         moved += _moved(name, tmp_path)
     assert not moved, "\n".join(moved)
+
+
+def test_ledger_is_the_square_function_check(tmp_path, monkeypatch):
+    # square-function claims no pass of its own: a symbol 1% off moves
+    # its ledger cells
+    symbol = spectral.G_hat_direct
+    monkeypatch.setattr(spectral, "G_hat_direct",
+                        lambda *args: 1.01 * symbol(*args))
+    _record("square-function", tmp_path)
+    assert _moved("square-function", tmp_path)
 
 
 def _rerecord(name: str, out_dir: Path) -> None:

@@ -44,6 +44,10 @@ class TestSignal:
         assert np.array_equal(d.values, [1.0 + 0j])
         assert d.support_width == 1
 
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Signal(0, np.ones((2, 3)))
+
 
 class TestLambdaGrid:
     def test_validation(self):
@@ -428,6 +432,22 @@ class TestCarleson:
         with pytest.raises(ValueError):
             carleson_direct_oracle(Signal.delta(0), LambdaGrid(()), 2, 8, 64)
 
+    @pytest.mark.parametrize("f, grid, ring_size, kernel, message", [
+        (Signal.delta(0), (), 64, "partition", "empty modulation grid"),
+        (Signal(0, np.ones(17)), (0.1,), 64, "partition", "4x the support"),
+        (Signal.delta(0), (0.1,), 64, "sharpe", "kernel must be"),
+    ], ids=["empty-grid", "ring-below-4x-support", "unknown-kernel"])
+    def test_refusals(self, f, grid, ring_size, kernel, message):
+        with pytest.raises(ValueError, match=message):
+            carleson_apply(f, LambdaGrid(grid), 2, 3, ring_size,
+                           kernel=kernel)
+
+    def test_sharp_radius_below_one_rejected(self):
+        # at J = -2 the default radius 2^(J+1) is 0.5, no integer
+        with pytest.raises(ValueError, match="radius .* not 0.5"):
+            carleson_apply(Signal.delta(0), LambdaGrid((0.1,)), 2, -2, 64,
+                           kernel="sharp")
+
     @pytest.mark.parametrize("J", [0, -1])
     def test_partition_below_one_block_rejected(self, J):
         # the partition kernel sums the blocks j = 1..J, as multiplier_M does
@@ -639,6 +659,16 @@ def _fresh_tables(fam: BumpFamily) -> dict:
     return tables
 
 
+@pytest.mark.parametrize("radius", [0.25, 0.5, 2.5, 4.0, 0, -1])
+def test_sharp_taps_refuse_a_radius_that_is_no_integer_above_zero(radius):
+    with pytest.raises(ValueError, match=f"not {radius!r}"):
+        _sharp_taps(radius)
+
+
+def test_sharp_taps_take_a_numpy_integer():
+    assert _sharp_taps(np.int64(5)) is _sharp_taps(5)
+
+
 def _cached_tables(fam: BumpFamily) -> dict:
     return {"block": _block_taps(8, fam), "block-12": _block_taps(12, fam),
             "partition": _partition_taps(6, fam), "sharp": _sharp_taps(300)}
@@ -775,6 +805,10 @@ class TestRVariation:
         with pytest.raises(ValueError):
             r_variation([0, 1], 0.5)
 
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            r_variation([], 2.0)
+
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1,
                     max_size=9),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
@@ -845,6 +879,63 @@ class TestOscillationSum:
                                      2.0 ** (-2 * j))], 2, 2, 10, N)
                 for j in range(1, 8)]
         assert np.all(np.diff(sums) < 0)
+
+    def record_lambdas(self, monkeypatch):
+        """The lambdas of each modulation loop run, as they are taken."""
+        taken = []
+        loop = spectral._modulated_outputs
+
+        def recording(fhat, lams, taps, d):
+            lams = list(lams)
+            taken.append(lams)
+            return loop(fhat, lams, taps, d)
+
+        monkeypatch.setattr(spectral, "_modulated_outputs", recording)
+        return taken
+
+    @staticmethod
+    def every_grid_point_sum(f, intervals, g, d, J, N):
+        """The sum with every grid point transformed, the anchor's too."""
+        taps = _sharp_taps(min(2 ** (J + 1), N // 4))
+        fhat = dft(spectral._embed_on_ring(f, N))
+        total = 0.0
+        for lo, hi, anchor in intervals:
+            grid = [hi * (lo / hi) ** (t / g) for t in range(g)]
+            base, *rest = _modulated_outputs(fhat, [anchor] + grid, taps, d)
+            sup = np.zeros(N)
+            for out in rest:
+                np.maximum(sup, np.abs(out - base), out=sup)
+            total += float((sup ** 2).sum())
+        return total
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_anchor_is_transformed_once(self, monkeypatch, d):
+        # the first grid point of an interval anchored at hi is its anchor:
+        # it is not transformed again, and no sum moves
+        N, g, J = 256, 4, 5
+        rng = np.random.Generator(np.random.Philox(22))
+        f = Signal(0, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        at_hi = [(2.0 ** -6, 2.0 ** -4, 2.0 ** -4),
+                 (2.0 ** -8, 2.0 ** -6, 2.0 ** -6)]
+        below_hi = [(2.0 ** -6, 2.0 ** -4, 0.05)]
+        # at hi: the anchor and g - 1 grid points; below hi: all g of them
+        for intervals, skipped in ((at_hi, 1), (below_hi, 0)):
+            taken = self.record_lambdas(monkeypatch)
+            val = oscillation_sum(f, intervals, g, d, J, N)
+            monkeypatch.undo()
+            expect = []
+            for lo, hi, anchor in intervals:
+                grid = [hi * (lo / hi) ** (t / g) for t in range(g)]
+                expect += [anchor] + grid[skipped:]
+            assert taken == [expect]
+            assert val > 0.0
+            assert val == self.every_grid_point_sum(f, intervals, g, d, J, N)
+
+    def test_sharp_radius_below_one_rejected(self):
+        # at J = -3 the radius 2^(J+1) is 0.25, no integer
+        f = Signal(0, np.ones(4))
+        with pytest.raises(ValueError, match="radius .* not 0.25"):
+            oscillation_sum(f, [(0.125, 0.25, 0.25)], 2, 2, -3, 64)
 
     def test_malformed_intervals_rejected(self):
         f = Signal(0, np.ones(4))

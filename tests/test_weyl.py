@@ -38,6 +38,10 @@ class TestCompleteWeylSum:
             WeylTriple(2, 2, 4, 2)  # gcd(a,b,q) = 2
         with pytest.raises(ValueError):
             WeylTriple(5, 0, 3, 2)  # a out of range
+        with pytest.raises(ValueError, match="q must be positive"):
+            WeylTriple(0, 0, 0, 2)
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            WeylTriple(0, 0, 1, 1)
 
     @given(st.integers(min_value=1, max_value=24),
            st.integers(min_value=2, max_value=3))
