@@ -175,12 +175,12 @@ def _exp_weyl_scan(*, q_max: int = 60, d_list: tuple[int, ...] = (2,)):
     return rows, {"max_abs": worst, "threshold": 1e-12}, worst < 1e-12
 
 
-def _exp_hua_fit(*, q_max: int = 200, d: int = 2):
-    # slope of log max |S| against log q, max per q over admissible (a, b)
+def _exp_hua_fit(*, q_max: int = 200):
+    # slope of log max |S| against log q, max per q over admissible (a, b),
+    # at d = 2: -0.4 judges Hua's q^(-1/2) there; Hua's q^(-1/d) fits
+    # -0.344 at d = 3 and -0.315 at d = 4 for q <= 200, and would fail it
     _need(q_max >= 8, "q_max >= 8")
-    # -0.4 judges Hua's q^(-1/2) at d = 2; Hua's q^(-1/d) fits -0.344 at
-    # d = 3 and -0.315 at d = 4 for q <= 200, and would fail it
-    _need(d == 2, "d = 2: the -0.4 threshold is Hua's bound at d = 2 only")
+    d = 2
     # the row a = 1 is all admissible and by Parseval its |S|^2 sum to 1,
     # so every max is positive and has a logarithm
     maxima = []
@@ -314,6 +314,7 @@ def _exp_xj_restricted(*, seed: int, j_lo: int = 6, j_hi: int = 12,
     # X_j at small j covers most of the torus; the grid (n_lams) must be
     # dense enough that some lambdas land outside it
     _need(n_seeds >= 1, "n_seeds >= 1")
+    _need(n_lams >= 1, "n_lams >= 1")
     fam = osc.BumpFamily(d=d, smoothness_order=smoothness)
     p = circle.ApproxParams(d=d, exponent_C=C, fam=fam)
     rows = []

@@ -1,10 +1,10 @@
 """Finite-signal engine.
 
 DFT-based multiplier application on cyclic rings with the square
-function of the symbols G, the block multipliers M_j and the truncated
-symbol M, the maximal modulated-Hilbert operator over a modulation grid
-(with a direct convolution oracle), the arithmetic factor of the TT*
-kernel, and the r-variation and oscillation functionals.
+function of the symbols G, the block multipliers M_j, the maximal
+modulated-Hilbert operator over a modulation grid (with a direct
+convolution oracle), the arithmetic factor of the TT* kernel, and the
+r-variation and oscillation functionals.
 
 Fourier convention: the forward transform uses the kernel e(-beta n), so
 dft agrees with the standard FFT sign.  A Signal returned by a ring
@@ -67,13 +67,15 @@ class Signal:
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """A finite, sorted set of modulation parameters in [0, 1]."""
+    """A finite, nonempty, sorted set of modulation parameters in [0, 1]."""
 
     points: tuple[float, ...]
     provenance: str = "explicit"
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
+        if not pts:
+            raise ValueError("empty modulation grid")
         if any(not (0.0 <= p <= 1.0) for p in pts):
             raise ValueError("grid points must lie in [0, 1]")
         if any(b <= a for a, b in zip(pts, pts[1:])):
@@ -253,14 +255,15 @@ def _tap_table(kind: str, n: int,
     """The odd kernel of one multiplier as (pos, w), built once and read-only.
 
     The kernel is w(m) at each m of pos and -w(m) at -m.  kind "block"
-    is psi_j on the support of psi_j, j = n; "partition" the blocks
+    is psi_j, j = n, on 2^(j-1) <= m < 2^(j+1), its support less the end
+    2^(j+1), where psi_j is 0; "partition" the blocks
     j = 1..n summed, with 1/m at m = +-1; "sharp" 1/m for
     0 < |m| <= n (smoothness_order 0).  psi depends on the smoothness
     order alone, not on d or c_chi, so equal families share a table.
     """
     if kind == "block":
         fam = BumpFamily(smoothness_order=smoothness_order)
-        pos = np.arange(2 ** (n - 1), 2 ** (n + 1) + 1, dtype=np.int64)
+        pos = np.arange(2 ** (n - 1), 2 ** (n + 1), dtype=np.int64)
         w = psi_j(pos.astype(float), n, fam)
     elif kind == "partition":
         fam = BumpFamily(smoothness_order=smoothness_order)
@@ -279,15 +282,18 @@ def _tap_table(kind: str, n: int,
 
 def _block_taps(j: int,
                 fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of M_j: psi_j(m) on the support of psi_j."""
+    """The kernel of M_j: psi_j(m), 2^(j-1) <= m < 2^(j+1)."""
     return _tap_table("block", j, fam.smoothness_order)
 
 
 def _partition_taps(J: int,
                     fam: BumpFamily = DEFAULT_BUMPS) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of multiplier_M: the blocks j = 1..J summed, 1/m at m = +-1.
+    """The kernel of the truncated symbol M: the blocks j = 1..J summed,
+    1/m at m = +-1.
 
-    ValueError if J < 1, where no block is summed.
+    It reproduces 1/m for 2 <= |m| <= 2^J, with the partition's smooth
+    roll-off on (2^J, 2^(J+1)].  ValueError if J < 1, where no block is
+    summed.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -306,9 +312,11 @@ def _sharp_taps(radius: int) -> tuple[np.ndarray, np.ndarray]:
 # _block_symbol's blocks hold _K = _K1 _K2 taps, written _PASS blocks a pass
 _K1, _K2, _PASS = 16, 32, 8
 _K = _K1 * _K2
-# measured crossover: between calls to the rest of the pipeline the direct
-# sum is faster on 1537 taps (block j = 10, whose last block holds one tap)
-# and the block sum on 2048 and more
+# measured crossover, on tables that ended on a block of one tap: between
+# calls to the rest of the pipeline the direct sum was the faster on 1537
+# taps and the block sum on 2048 and more.  Not re-measured on whole-block
+# tables: block j = 10, now 1536 taps in 3 blocks, took 51 us by blocks
+# and 63 us tap by tap, timed alone; moving the cut moves the bits of M_10
 _BLOCK_MIN_TAPS = 2048
 
 
@@ -357,8 +365,9 @@ def _block_symbol(lam: float, beta: float, taps) -> complex:
     by _reduce, and cos and sin run on B (_K1 + _K2) + _K + 2 (B + _K1 +
     _K2) entries, not on the taps.  Per tap there remain w E, written
     _PASS blocks at a time into one buffer as a real and an imaginary row,
-    and a batched real matmul with v at +-beta; the last block is padded
-    with zero weights.
+    and a batched real matmul with v at +-beta.  The table must be a
+    whole number of blocks, as the block and partition tables that reach
+    here are.
     """
     pos, w = taps
     nb = -(-len(pos) // _K)
@@ -377,10 +386,8 @@ def _block_symbol(lam: float, beta: float, taps) -> complex:
     buf = np.empty((_PASS, 2, _K))
     for b0 in range(0, nb, _PASS):
         p = min(_PASS, nb - b0)
-        wp = w[b0 * _K:(b0 + p) * _K]
-        if len(wp) < p * _K:
-            wp = np.concatenate([wp, np.zeros(p * _K - len(wp))])
-        np.multiply(wp.reshape(p, 1, _K), E, out=buf[:p])
+        np.multiply(w[b0 * _K:(b0 + p) * _K].reshape(p, 1, _K), E,
+                    out=buf[:p])
         np.matmul(buf[:p].reshape(p, 2 * _K1, _K2), v[b0:b0 + p],
                   out=out[b0:b0 + p])
     # out as complex: sum_k2 w Re(E) v and sum_k2 w Im(E) v, by (b, k1, +-)
@@ -397,14 +404,14 @@ def _symbol(lam: float, beta: float, taps, d: int) -> complex:
     -2i w(m) e(-lam m^d) sin(2 pi beta m) for d even, and
     -2i w(m) sin(2 pi (lam m^d + beta m)) for d odd.  At d = 2 a table of
     _BLOCK_MIN_TAPS taps or more, whose pos the _*_taps builders make a
-    contiguous range, is summed by _block_symbol, with no cos or sin per
-    tap; any other table and d is summed tap by tap.
+    contiguous range of whole blocks, is summed by _block_symbol, with no
+    cos or sin per tap; any other table and d is summed tap by tap.
     """
     pos, w = taps
     if d == 2 and len(pos) >= _BLOCK_MIN_TAPS:
         return _block_symbol(lam, beta, taps)
     lam_ph = _phase(lam, pos, d)
-    beta_ph = _phase(beta, pos, 1)
+    beta_ph = _reduce(beta, pos)  # pos, int64, is its own first power
     if d % 2 == 0:
         # by real and imaginary part: a complex exp costs more than cos
         # and sin together
@@ -420,19 +427,6 @@ def multiplier_Mj(lam: float, beta: float, j: int, d: int,
                   fam: BumpFamily = DEFAULT_BUMPS) -> complex:
     """The j-th block: sum_m psi_j(m) e(-lam m^d - beta m)."""
     return _symbol(lam, beta, _block_taps(j, fam), d)
-
-
-def multiplier_M(lam: float, beta: float, d: int, J: int,
-                 fam: BumpFamily = DEFAULT_BUMPS) -> complex:
-    """The truncated symbol: sum_m w(m) e(-lam m^d - beta m), w the
-    kernel of _partition_taps.
-
-    w is the sum of the blocks psi_j, j = 1..J, which reproduces 1/m for
-    2 <= |m| <= 2^J, with 1/m itself at m = +-1, where the partition does
-    not reach.  The total matches the sharp kernel sum for every
-    |m| <= 2^J, with the partition's smooth roll-off on (2^J, 2^(J+1)].
-    """
-    return _symbol(lam, beta, _partition_taps(J, fam), d)
 
 
 def _modulated_outputs(fhat: np.ndarray, lams: Iterable[float], taps,
@@ -554,15 +548,13 @@ def carleson_apply(f: Signal, grid: LambdaGrid, d: int, J: int,
                    radius: Optional[int] = None) -> Signal:
     """Pointwise max over the grid of |(M(lam, .) fhat)^v|.
 
-    kernel="partition" uses the truncated symbol multiplier_M assembled
-    from the dyadic blocks j = 1..J, whose reach is 2^(J+1); J < 1 or any
-    other radius raises ValueError.  kernel="sharp" uses the exact
-    coefficients e(-lam m^d)/m up to the given radius (default 2^(J+1)),
-    which is the radius-matched FFT counterpart of
+    kernel="partition" uses the truncated symbol M, whose kernel
+    _partition_taps assembles from the dyadic blocks j = 1..J, with reach
+    2^(J+1); J < 1 or any other radius raises ValueError.  kernel="sharp"
+    uses the exact coefficients e(-lam m^d)/m up to the given radius
+    (default 2^(J+1)), which is the radius-matched FFT counterpart of
     carleson_direct_oracle.  Cost is O(|grid| N log N) either way.
     """
-    if len(grid.points) == 0:
-        raise ValueError("empty modulation grid")
     if ring_size < 4 * f.support_width:
         raise ValueError("ring_size must be >= 4x the support width of f")
     if kernel == "partition":
@@ -585,8 +577,6 @@ def carleson_direct_oracle(f: Signal, grid: LambdaGrid, d: int,
     O(|grid| N M_radius); no bump partition, no FFT.  Used to bound the
     partition discrepancy and to validate the FFT path.
     """
-    if len(grid.points) == 0:
-        raise ValueError("empty modulation grid")
     ring = _embed_on_ring(f, ring_size)
     acc = np.zeros(ring_size)
     ms = np.concatenate([np.arange(-M_radius, 0), np.arange(1, M_radius + 1)])

@@ -4,6 +4,7 @@ Each oracle scans its whole search space with no shortcut the fast path
 takes, so an agreement checks the fast path's pruning argument.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -23,6 +24,33 @@ def dirichlet_approx_bruteforce(lam: float, q_max: int) -> tuple[int, int]:
                   if abs(lam_f - Fraction(a, q)) <= Fraction(1, q * q_max)]
     best = min(admissible, key=lambda f: abs(lam_f - f)) % 1
     return best.numerator, best.denominator
+
+
+def xset_contains_scan(x: float, xs) -> bool:
+    """Slow reference for farey.xset_contains: x within xs.width of some
+    a/q, q <= xs.q_bound, compared in Fraction (a the two integers next
+    to x q)."""
+    xf = Fraction(x)
+    return any(abs(xf - Fraction(a, q)) <= Fraction(xs.width)
+               for q in range(1, xs.q_bound + 1)
+               for a in (math.floor(xf * q), math.floor(xf * q) + 1))
+
+
+def naive_complete_sum(a: int, b: int, q: int, d: int) -> complex:
+    """Direct-summation reference for the complete sums of weyl, with
+    float phases."""
+    return sum(cmath.exp(-2j * cmath.pi * (a * r ** d + b * r) / q)
+               for r in range(1, q + 1)) / q
+
+
+def full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
+    """sum_m w(m) e(-lam m^d - beta m) over every tap m of the lists m, w,
+    phases in Fraction: the reference of spectral's symbols."""
+    total = 0j
+    for mi, wi in zip(m, w):
+        ph = Fraction(lam) * mi ** d + Fraction(beta) * mi
+        total += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
+    return total
 
 
 def all_centers(s: int) -> list[tuple[int, int, int]]:

@@ -67,7 +67,7 @@ def test_03_kernel_identity_exhaustive():
 
 def test_04_hua_exponent():
     with timed(120):
-        rows, summary, passed = bench._exp_hua_fit(q_max=200, d=2)
+        rows, summary, passed = bench._exp_hua_fit(q_max=200)
         assert summary["fitted_exponent"] <= -0.4, summary
         assert passed
 

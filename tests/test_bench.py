@@ -23,6 +23,9 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig("weyl-scan", {"bogus": 1}).validate()
+        # hua-fit takes no d: its -0.4 threshold is Hua's bound at d = 2 only
+        with pytest.raises(ValueError, match="'d'"):
+            ExperimentConfig("hua-fit", {"q_max": 40, "d": 3}).validate()
 
     def test_seed_required_for_randomized(self):
         with pytest.raises(ValueError):
@@ -112,14 +115,14 @@ class TestConfig:
         # ranges that would check nothing and report a pass
         pytest.param("weyl-scan", {"q_max": 1}, id="weyl-scan-q1"),
         pytest.param("weyl-scan", {"d_list": []}, id="weyl-scan-no-d"),
-        # hua-fit's -0.4 threshold is Hua's bound at d = 2 only
-        pytest.param("hua-fit", {"q_max": 40, "d": 3}, id="hua-fit-d3"),
         pytest.param("kernel-identity", {"q_max": 0},
                      id="kernel-identity-q0"),
         pytest.param("kernel-identity", {"d_list": []},
                      id="kernel-identity-no-d"),
         pytest.param("xj-restricted", {"seed": 0, "n_seeds": 0},
                      id="xj-restricted-no-seeds"),
+        pytest.param("xj-restricted", {"seed": 0, "n_lams": 0},
+                     id="xj-restricted-no-lams"),
         pytest.param("ergodic", {"seed": 0, "n_seeds": 0},
                      id="ergodic-no-seeds"),
         # one grid point per interval is the anchor itself: every sum is 0
@@ -195,7 +198,7 @@ class TestReports:
     def test_defaults_written_as_params(self, tmp_path):
         run(ExperimentConfig("hua-fit", {}, str(tmp_path)))
         payload = json.loads((tmp_path / "hua-fit.summary.json").read_text())
-        assert payload["params"] == {"q_max": 200, "d": 2}
+        assert payload["params"] == {"q_max": 200}
 
     @pytest.mark.parametrize("name, params", [
         pytest.param("weyl-scan", {"q_max": 12, "d_list": [2, 3]},
@@ -385,7 +388,6 @@ def test_every_experiment_registered():
 # one other legal value chosen where the option takes effect.
 OPTION_CHANGES = {
     "weyl-scan": ({"q_max": 6}, {"q_max": 7, "d_list": [3]}),
-    # d has one legal value (its -0.4 threshold is Hua's bound at d = 2)
     "hua-fit": ({"q_max": 12}, {"q_max": 13}),
     "kernel-identity": ({"q_max": 4}, {"q_max": 5, "d_list": [3]}),
     # Q_max clamps to int(2^(epsilon j)), which is 1 below j = 10
@@ -436,9 +438,8 @@ def test_every_option_moves_a_reported_number():
     uncovered, dead = [], []
     for name, (base, changes) in OPTION_CHANGES.items():
         options = set(inspect.signature(EXPERIMENTS[name]).parameters)
-        exempt = {"d"} if name == "hua-fit" else set()
         uncovered += [f"{name} {opt}"
-                      for opt in sorted(options - exempt - set(changes))]
+                      for opt in sorted(options - set(changes))]
         reference = _outputs(name, base)
         for opt, value in changes.items():
             if _outputs(name, {**base, opt: value}) == reference:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from modhilb.farey import (XSet, dirichlet_approx, dyadic_width,
                            farey_neighbours, nearest_fraction, xset_contains)
 
-from oracles import dirichlet_approx_bruteforce
+from oracles import dirichlet_approx_bruteforce, xset_contains_scan
 
 
 class TestDirichletApprox:
@@ -193,11 +193,7 @@ class TestXSet:
             q, u, sign = point
             q = min(q, xs.q_bound)
             point = (math.floor(u * q) / q + sign * xs.width) % 1.0
-        x = Fraction(point)
-        inside = any(abs(x - Fraction(a, q)) <= Fraction(xs.width)
-                     for q in range(1, xs.q_bound + 1)
-                     for a in (math.floor(x * q), math.floor(x * q) + 1))
-        assert xset_contains(point, xs) == inside
+        assert xset_contains(point, xs) == xset_contains_scan(point, xs)
 
     @given(st.integers(min_value=3, max_value=9), EXACT_EDGE_FLOATS)
     @example(6, -1 / 36 + 2 ** -7)
@@ -206,11 +202,7 @@ class TestXSet:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_scan_off_the_unit_interval(self, j, x):
         xs = XSet(j=j, exponent_C=2.0, d=2)
-        xf = Fraction(x)
-        inside = any(abs(xf - Fraction(a, q)) <= Fraction(xs.width)
-                     for q in range(1, xs.q_bound + 1)
-                     for a in (math.floor(xf * q), math.floor(xf * q) + 1))
-        assert xset_contains(x, xs) == inside
+        assert xset_contains(x, xs) == xset_contains_scan(x, xs)
 
     def test_dyadic_width_rounding(self):
         assert dyadic_width(1, 2.0, 2) == 2.0 ** -2

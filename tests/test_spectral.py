@@ -23,11 +23,10 @@ from modhilb.spectral import (_BLOCK_MIN_TAPS, _SPLIT_MAX_LOOPS,
                               _phase, _sharp_taps, _symbol, _tap_table,
                               apply_multiplier, carleson_apply,
                               carleson_direct_oracle, dft, idft,
-                              multiplier_M, multiplier_Mj,
-                              oscillation_sum, r_variation,
+                              multiplier_Mj, oscillation_sum, r_variation,
                               ttstar_frequency_factor)
-from oracles import r_variation_bruteforce
-from test_weyl import naive_complete_sum
+from oracles import (full_table_sum, naive_complete_sum,
+                     r_variation_bruteforce)
 
 
 def _every_tap(taps) -> tuple[np.ndarray, np.ndarray]:
@@ -55,6 +54,8 @@ class TestLambdaGrid:
             LambdaGrid((0.5, 0.5))
         with pytest.raises(ValueError):
             LambdaGrid((0.1, 1.5))
+        with pytest.raises(ValueError, match="empty modulation grid"):
+            LambdaGrid(())
 
 
 class TestDft:
@@ -221,15 +222,6 @@ class TestTabulatedExp:
         assert np.max(np.abs(out - w * np.exp(-2j * np.pi * t))) <= 1.5e-15
 
 
-def _full_table_sum(lam: float, beta: float, m, w, d: int) -> complex:
-    """sum_m w(m) e(-lam m^d - beta m) over every tap, phases in Fraction."""
-    total = 0j
-    for mi, wi in zip(m, w):
-        ph = Fraction(lam) * mi ** d + Fraction(beta) * mi
-        total += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
-    return total
-
-
 # lam = 0.7 2^-40 has bits below 2^-64, which _reduce carries apart; the
 # last point lies in the major box around (1/3, 2/3) at j = 13
 _LAM_BETA = [(0.7310585786300049, 0.1), (0.123456789, 0.6180339887498949),
@@ -257,10 +249,7 @@ class TestMultipliers:
     def test_mj_matches_exact_phases_at_j12_cubic(self, lam, beta):
         # m^3 reaches 2^39 at j = 12: the tap sum with Fraction phases
         m, w = _every_tap(_block_taps(12))
-        want = 0j
-        for mi, wi in zip(m.tolist(), w.tolist()):
-            ph = Fraction(lam) * mi ** 3 + Fraction(beta) * mi
-            want += wi * cmath.exp(-2j * cmath.pi * float(ph - math.floor(ph)))
+        want = full_table_sum(lam, beta, m.tolist(), w.tolist(), 3)
         assert abs(multiplier_Mj(lam, beta, 12, 3) - want) <= 1e-13
 
     def test_mj_power_beyond_int64_rejected(self):
@@ -269,17 +258,17 @@ class TestMultipliers:
             multiplier_Mj(0.3, 0.1, 12, 5)
 
     def test_m_zero_at_origin(self):
-        assert abs(multiplier_M(0.0, 0.0, 2, 6)) < 1e-12
+        assert abs(_symbol(0.0, 0.0, _partition_taps(6), 2)) < 1e-12
 
     def test_m_pure_imaginary_at_lam_zero(self):
         for beta in (0.1, 0.37, 0.82):
-            val = multiplier_M(0.0, beta, 2, 6)
+            val = _symbol(0.0, beta, _partition_taps(6), 2)
             assert abs(val.real) < 1e-12
 
     def test_m_half_half_fixture(self):
         # (m^2 + m)/2 is always an integer, so every phase is 1 and the
         # odd kernel sums to zero
-        assert abs(multiplier_M(0.5, 0.5, 2, 8)) < 1e-12
+        assert abs(_symbol(0.5, 0.5, _partition_taps(8), 2)) < 1e-12
 
     @pytest.mark.parametrize("J, d", [(6, 2), (6, 3), (11, 2), (11, 3)])
     @pytest.mark.parametrize("lam, beta", _LAM_BETA)
@@ -289,8 +278,8 @@ class TestMultipliers:
         n = np.arange(1, 2 ** (J + 1) + 1)
         m = np.concatenate([-n[::-1], n])
         w = np.where(np.abs(m) <= 2 ** J, 1.0 / m, psi_j(m.astype(float), J))
-        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
-        assert abs(multiplier_M(lam, beta, d, J) - want) <= 1e-13
+        want = full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
+        assert abs(_symbol(lam, beta, _partition_taps(J), d) - want) <= 1e-13
 
 
 class TestHalfTapSymbol:
@@ -307,7 +296,7 @@ class TestHalfTapSymbol:
         n = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1)
         m = np.concatenate([-n[::-1], n])
         w = psi_j(m.astype(float), j, fam)
-        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
+        want = full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
         assert abs(multiplier_Mj(lam, beta, j, d, fam) - want) <= 1e-13
 
     @pytest.mark.parametrize("J, d", [(6, 2), (6, 3), (11, 2)],
@@ -318,18 +307,18 @@ class TestHalfTapSymbol:
         m = np.concatenate([-n[::-1], n])
         w = sum(psi_j(m.astype(float), j) for j in range(1, J + 1))
         w[np.abs(m) == 1] = 1.0 / m[np.abs(m) == 1]
-        want = _full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
-        assert abs(multiplier_M(lam, beta, d, J) - want) <= 1e-13
+        want = full_table_sum(lam, beta, m.tolist(), w.tolist(), d)
+        assert abs(_symbol(lam, beta, _partition_taps(J), d) - want) <= 1e-13
 
     def test_odd_d_symbol_is_imaginary(self):
         # the pair +-m contributes -2i w(m) sin(2 pi (lam m^3 + beta m))
         assert multiplier_Mj(0.3, 0.7, 6, 3).real == 0.0
 
-    @pytest.mark.parametrize("m0, n", [(1, 1), (1, 512), (7, 513), (1000, 4096),
-                                       (3, 4097), (2 ** 20, 9000)])
+    @pytest.mark.parametrize("m0, n", [(1, 512), (7, 1536), (1000, 4096),
+                                       (3, 4608), (2 ** 20, 8192)])
     def test_block_sum_matches_exp_reference(self, m0, n):
-        # a last block of 1..512 taps and a last pass of 1..8 blocks; the
-        # reference takes np.exp of each tap's reduced phase
+        # whole blocks of 512 taps, the last pass 1, 3, 8, 1 and 8 blocks;
+        # the reference takes np.exp of each tap's reduced phase
         rng = np.random.Generator(np.random.Philox(25))
         pos = np.arange(m0, m0 + n)
         w = rng.standard_normal(n) / n
@@ -350,6 +339,63 @@ class TestHalfTapSymbol:
         _block_words(_M_MAX[2] - 1024, 1024)
         with pytest.raises(ValueError):
             _block_words(_M_MAX[2] + 1 - 1024, 1024)
+
+
+def _closed_block_table(j: int, fam: BumpFamily):
+    """Block j on the closed range 2^(j-1) <= m <= 2^(j+1), psi_j's whole
+    support."""
+    pos = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1)
+    return pos, psi_j(pos.astype(float), j, fam)
+
+
+class TestHalfOpenBlockTables:
+    """A block table stops at 2^(j+1) - 1: psi_j is 0 at 2^(j+1), so every
+    symbol and every modulated row is bit for bit what the closed range
+    2^(j-1) <= m <= 2^(j+1) gives."""
+
+    def test_block_table_is_the_taps_from_half_its_reach(self):
+        for j in range(1, 17):
+            pos, w = _block_taps(j)
+            assert np.array_equal(pos, 2 ** (j - 1) + np.arange(3 * 2 ** (j - 1)))
+            assert len(w) == len(pos)
+        # the dropped tap weighs exactly 0 at every smoothness order
+        for order in (2, 3, 4, 5, 6, 8):
+            fam = BumpFamily(smoothness_order=order)
+            for j in (3, 8, 11, 14):
+                assert psi_j(float(2 ** (j + 1)), j, fam) == 0.0
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("j", [8, 11, 14])
+    def test_symbol_equals_closed_range(self, j, d, order):
+        fam = BumpFamily(d=d, smoothness_order=order)
+        pos, w = _closed_block_table(j, fam)
+        if d == 2 and len(pos) >= _BLOCK_MIN_TAPS:
+            # summed by blocks: zero weights pad it to whole blocks of 512,
+            # as the block sum padded its last block
+            pad = -len(pos) % 512
+            pos = np.arange(pos[0], pos[-1] + 1 + pad)
+            w = np.concatenate([w, np.zeros(pad)])
+        for lam, beta in _LAM_BETA:
+            assert (_symbol(lam, beta, _block_taps(j, fam), d)
+                    == _symbol(lam, beta, (pos, w), d))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("j", [8, 11, 14])
+    def test_modulated_rows_equal_closed_range(self, j, d, order):
+        N = 4096
+        fam = BumpFamily(d=d, smoothness_order=order)
+        rng = np.random.Generator(np.random.Philox(26))
+        f = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        fhat = dft(np.concatenate([f, np.zeros(N - 1024)]))
+        lams = [lam for lam, _ in _LAM_BETA]
+        got = list(_modulated_outputs(fhat, lams, _block_taps(j, fam), d))
+        want = list(_modulated_outputs(fhat, lams, _closed_block_table(j, fam),
+                                       d))
+        assert len(got) == len(want) == len(lams)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestCarleson:
@@ -417,13 +463,13 @@ class TestCarleson:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_partition_matches_symbol_at_one_lambda(self, d):
-        # the partition kernel is the spatial form of multiplier_M
+        # the partition kernel is the spatial form of the symbol M
         N, J, lam = 256, 5, 0.37
         rng = np.random.Generator(np.random.Philox(15))
         f = Signal(3, rng.standard_normal(32) + 1j * rng.standard_normal(32))
         out = carleson_apply(f, LambdaGrid((lam,)), d, J, N)
         symbol = apply_multiplier(
-            f, lambda betas: np.array([multiplier_M(lam, b, d, J)
+            f, lambda betas: np.array([_symbol(lam, b, _partition_taps(J), d)
                                        for b in betas]), N)
         assert not out.values.imag.any()
         assert np.allclose(out.values.real, np.abs(symbol.values), atol=1e-10)
@@ -450,11 +496,11 @@ class TestCarleson:
 
     @pytest.mark.parametrize("J", [0, -1])
     def test_partition_below_one_block_rejected(self, J):
-        # the partition kernel sums the blocks j = 1..J, as multiplier_M does
+        # the partition kernel sums the blocks j = 1..J
         with pytest.raises(ValueError, match="J must be >= 1"):
             carleson_apply(Signal.delta(0), LambdaGrid((0.1, 0.6)), 2, J, 64)
         with pytest.raises(ValueError, match="J must be >= 1"):
-            multiplier_M(0.1, 0.3, 2, J)
+            _partition_taps(J)
 
     def test_partition_radius_is_its_reach(self):
         # the partition kernel reaches 2^(J+1); that radius, or none, is
@@ -648,7 +694,7 @@ def _fresh_tables(fam: BumpFamily) -> dict:
     and 1/m, with block j = 12 for the block sum at d = 2."""
     tables = {}
     for kind, j in (("block", 8), ("block-12", 12)):
-        pos = np.arange(2 ** (j - 1), 2 ** (j + 1) + 1)
+        pos = np.arange(2 ** (j - 1), 2 ** (j + 1))
         tables[kind] = (pos, psi_j(pos.astype(float), j, fam))
     pos = np.arange(1, 2 ** 7 + 1)
     w = sum(psi_j(pos.astype(float), j, fam) for j in range(1, 7))
@@ -721,7 +767,8 @@ class TestTapTableCache:
         def run():
             return ([multiplier_Mj(lam, beta, j, d, fam) for j in (8, 12)
                      for lam, beta in points]
-                    + [multiplier_M(lam, beta, d, 6, fam) for lam, beta in points],
+                    + [_symbol(lam, beta, _partition_taps(6, fam), d)
+                       for lam, beta in points],
                     [carleson_apply(f, grid, d, 6, 512, fam, kernel=k).values
                      for k in ("partition", "sharp")])
 

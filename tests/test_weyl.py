@@ -13,11 +13,7 @@ from modhilb.bench import _exp_hua_fit, _exp_weyl_scan
 from modhilb.weyl import (WeylTriple, _complete_sum_row, complete_weyl_sum,
                           weyl_kernel_identity)
 
-
-def naive_complete_sum(a, b, q, d):
-    """Independent direct-summation oracle with float phases."""
-    return sum(cmath.exp(-2j * cmath.pi * (a * r ** d + b * r) / q)
-               for r in range(1, q + 1)) / q
+from oracles import naive_complete_sum
 
 
 class TestCompleteWeylSum:
@@ -227,7 +223,7 @@ class TestHuaFit:
                 assert abs(val - p ** -0.5) < 1e-13
 
     def test_fit_small(self):
-        [row], _, _ = _exp_hua_fit(q_max=40, d=2)
+        [row], _, _ = _exp_hua_fit(q_max=40)
         assert row["fitted_exponent"] <= -0.4
         assert row["max_constant"] < 10.0
 
@@ -236,4 +232,4 @@ class TestHuaFit:
 
     def test_q_max_too_small(self):
         with pytest.raises(ValueError):
-            _exp_hua_fit(q_max=4, d=2)
+            _exp_hua_fit(q_max=4)
